@@ -23,6 +23,9 @@ DEFAULT_BOUNDARY = frozenset("。，；")
 DEFAULT_DISCARD = (
     frozenset(
         string.whitespace
+        # with string.whitespace, every character str.splitlines() breaks
+        # on: the line-oriented formats cannot hold them
+        + "\x1c\x1d\x1e\x85\u2028\u2029"
         + string.punctuation
         + "　 "
         + "、：？！‥…．·・—–‐―〜～"

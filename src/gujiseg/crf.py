@@ -4,6 +4,12 @@ State features are (attribute, label) indicators; transition features are
 label-pair indicators. All inference runs in log space (sequences run to
 hundreds of positions, probability-domain scaling would underflow).
 
+Forward and backward run over a packed time-major layout: sequences are
+sorted longest first, so position t of the k[t] sequences still running is
+the contiguous row block off[t]:off[t]+k[t], in the same sequence order at
+every t. Each step is one slice and one log-sum-exp reduction, with no
+padding and no masks; a lone sequence is the case k[t] = 1.
+
 Training is full-batch gradient ascent on the L2-penalized log-likelihood
 with a backtracking (Armijo) line search: deterministic, monotone, and easy
 to verify against finite differences.
@@ -91,10 +97,33 @@ class CrfModel:
         return self.labels.index(label)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _packed_steps(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, off) of the packed layout: k[t] sequences are longer than t,
+    and their rows at position t start at off[t]."""
+    k = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
+    return k, np.cumsum(k) - k
+
+
+def _forward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray) -> np.ndarray:
+    k, off = k.tolist(), off.tolist()
+    alpha = np.empty_like(emis)
+    alpha[: k[0]] = emis[: k[0]]
+    for t in range(1, len(k)):
+        prev = alpha[off[t - 1] : off[t - 1] + k[t], :, None]
+        rows = slice(off[t], off[t] + k[t])
+        alpha[rows] = emis[rows] + np.logaddexp.reduce(prev + trans, axis=1)
+    return alpha
+
+
+def _backward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Backward scores; a sequence's last row keeps beta = 0."""
+    k, off = k.tolist(), off.tolist()
+    beta = np.zeros_like(emis)
+    for t in range(len(k) - 2, -1, -1):
+        nxt = slice(off[t + 1], off[t + 1] + k[t + 1])
+        ahead = (emis[nxt] + beta[nxt])[:, None, :]
+        beta[off[t] : off[t] + k[t + 1]] = np.logaddexp.reduce(trans + ahead, axis=2)
+    return beta
 
 
 def _emissions(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray:
@@ -126,11 +155,9 @@ def score_sequence(
 def log_partition(model: CrfModel, attrs: Sequence[Sequence[str]]) -> float:
     if not attrs:
         raise ValueError("empty sequence")
-    emis = _emissions(model, attrs)
-    alpha = emis[0]
-    for t in range(1, len(attrs)):
-        alpha = emis[t] + _logsumexp(alpha[:, None] + model.trans_weights, axis=0)
-    return float(_logsumexp(alpha, axis=0))
+    k, off = _packed_steps(np.array([len(attrs)]))
+    alpha = _forward(_emissions(model, attrs), model.trans_weights, k, off)
+    return float(np.logaddexp.reduce(alpha[-1]))
 
 
 def marginals(
@@ -140,16 +167,11 @@ def marginals(
     if not attrs:
         raise ValueError("empty sequence")
     emis = _emissions(model, attrs)
-    T, L = emis.shape
     trans = model.trans_weights
-    alpha = np.empty((T, L))
-    alpha[0] = emis[0]
-    for t in range(1, T):
-        alpha[t] = emis[t] + _logsumexp(alpha[t - 1][:, None] + trans, axis=0)
-    beta = np.zeros((T, L))
-    for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(trans + (emis[t + 1] + beta[t + 1])[None, :], axis=1)
-    log_z = _logsumexp(alpha[-1], axis=0)
+    k, off = _packed_steps(np.array([len(attrs)]))
+    alpha = _forward(emis, trans, k, off)
+    beta = _backward(emis, trans, k, off)
+    log_z = np.logaddexp.reduce(alpha[-1])
     unary = np.exp(alpha + beta - log_z)
     pairwise = np.exp(
         alpha[:-1, :, None]
@@ -186,11 +208,13 @@ def viterbi(
 
 
 class _Encoded:
-    """Dataset compiled to a sparse firing matrix plus padded batch layout.
+    """Dataset compiled to a sparse firing matrix in packed time-major order.
 
-    Flat row order is dataset order with positions ascending, which matches
-    the row-major order of the valid-position mask; that correspondence is
-    what makes the pad/unpad boolean indexing below correct.
+    Sequences are ranked longest first; the row of rank r at position t is
+    off[t] + r (see _packed_steps). `X` and every per-position array
+    (emissions, alpha, beta) share that order. Row q >= k[0] follows row
+    `prev[q - k[0]]` of its sequence, row q belongs to rank `row_rank[q]`,
+    and rank r ends at row `last[r]`.
     """
 
     def __init__(
@@ -200,71 +224,49 @@ class _Encoded:
         labels: Sequence[str],
     ) -> None:
         label_id = {l: i for i, l in enumerate(labels)}
-        self.n_labels = L = len(labels)
-        self.n_attrs = A = len(attr_index)
+        L, A = len(labels), len(attr_index)
         lengths = []
         cols = array("q")
         indptr = array("q", [0])
         gold = array("q")
-        observed_trans = np.zeros((L, L))
         for attrs, labs in dataset:
             if len(attrs) != len(labs):
                 raise ValueError(f"{len(attrs)} positions vs {len(labs)} labels")
             if not attrs:
                 raise ValueError("empty sequence in dataset")
             lengths.append(len(attrs))
-            prev = -1
             for row, lab in zip(attrs, labs):
                 try:
-                    y = label_id[lab]
+                    gold.append(label_id[lab])
                 except KeyError:
                     raise ValueError(f"label {lab!r} not in {tuple(labels)}")
-                gold.append(y)
-                before = len(cols)
                 for a in row:
                     j = attr_index.get(a)
                     if j is not None:
                         cols.append(j)
-                indptr.append(indptr[-1] + (len(cols) - before))
-                if prev >= 0:
-                    observed_trans[prev, y] += 1
-                prev = y
-        self.lengths = np.array(lengths, dtype=np.int64)
-        self.total = int(self.lengths.sum())
-        self.gold = np.array(gold, dtype=np.int64)
-        col_arr = np.array(cols, dtype=np.int64)
+                indptr.append(len(cols))
+        lengths = np.array(lengths, dtype=np.int64)
+        n, total = len(lengths), int(lengths.sum())
+        self.k, self.off = k, off = _packed_steps(lengths)
+        # rank sequences longest first; rank r at position t is row off[t] + r
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(-lengths, kind="stable")] = np.arange(n)
+        position = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        order = np.empty(total, dtype=np.int64)
+        order[off[position] + np.repeat(rank, lengths)] = np.arange(total)
         self.X = sparse.csr_matrix(
-            (np.ones(len(col_arr)), col_arr, np.array(indptr, dtype=np.int64)),
-            shape=(self.total, A),
-        )
-        onehot = np.zeros((self.total, L))
-        onehot[np.arange(self.total), self.gold] = 1.0
+            (np.ones(len(cols)), np.array(cols, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+            shape=(total, A),
+        )[order]
+        gold = np.array(gold, dtype=np.int64)[order]
+        self.row_rank = np.arange(total) - np.repeat(off, k)
+        self.prev = np.arange(k[0], total) - np.repeat(k[:-1], k[1:])
+        self.last = off[np.sort(lengths)[::-1] - 1] + np.arange(n)
+        onehot = np.zeros((total, L))
+        onehot[np.arange(total), gold] = 1.0
         self.observed_state = np.asarray(self.X.T @ onehot)
-        self.observed_trans = observed_trans
-        self.t_max = int(self.lengths.max())
-        steps = np.arange(self.t_max)
-        self.valid = steps[None, :] < self.lengths[:, None]
-        self.pair_valid = (steps[None, 1:] if self.t_max > 1 else steps[None, :0]) < self.lengths[:, None]
-
-    def _emissions_padded(self, state_w: np.ndarray) -> np.ndarray:
-        flat = np.asarray(self.X @ state_w)
-        emis = np.zeros((len(self.lengths), self.t_max, self.n_labels))
-        emis[self.valid] = flat
-        return emis
-
-    def _forward(
-        self, emis: np.ndarray, trans: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n, t_max, L = emis.shape
-        alpha = np.empty_like(emis)
-        alpha[:, 0, :] = emis[:, 0, :]
-        for t in range(1, t_max):
-            step = _logsumexp(alpha[:, t - 1, :, None] + trans[None, :, :], axis=1)
-            new = step + emis[:, t, :]
-            active = self.lengths > t
-            alpha[:, t, :] = np.where(active[:, None], new, alpha[:, t - 1, :])
-        log_z = _logsumexp(alpha[:, -1, :], axis=1)
-        return alpha, log_z
+        pair_ids = gold[self.prev] * L + gold[k[0] :]
+        self.observed_trans = np.bincount(pair_ids, minlength=L * L).reshape(L, L).astype(float)
 
     def _gold_score(self, state_w: np.ndarray, trans_w: np.ndarray) -> float:
         return float(
@@ -272,35 +274,27 @@ class _Encoded:
         )
 
     def objective(self, state_w: np.ndarray, trans_w: np.ndarray, sigma_sq: float) -> float:
-        emis = self._emissions_padded(state_w)
-        _, log_z = self._forward(emis, trans_w)
+        alpha = _forward(np.asarray(self.X @ state_w), trans_w, self.k, self.off)
+        log_z = np.logaddexp.reduce(alpha[self.last], axis=1)
         penalty = (np.sum(state_w**2) + np.sum(trans_w**2)) / (2.0 * sigma_sq)
         return self._gold_score(state_w, trans_w) - float(np.sum(log_z)) - penalty
 
     def objective_and_gradient(
         self, state_w: np.ndarray, trans_w: np.ndarray, sigma_sq: float
     ) -> tuple[float, Gradient]:
-        emis = self._emissions_padded(state_w)
-        alpha, log_z = self._forward(emis, trans_w)
-        n, t_max, L = emis.shape
-        beta = np.zeros_like(emis)
-        for t in range(t_max - 2, -1, -1):
-            nxt = trans_w[None, :, :] + (emis[:, t + 1, :] + beta[:, t + 1, :])[:, None, :]
-            active = self.lengths > t + 1
-            beta[:, t, :] = np.where(active[:, None], _logsumexp(nxt, axis=2), 0.0)
-        unary = np.exp(alpha + beta - log_z[:, None, None])
-        expected_state = np.asarray(self.X.T @ unary[self.valid])
-        if t_max > 1:
-            pair = np.exp(
-                alpha[:, :-1, :, None]
-                + trans_w[None, None, :, :]
-                + (emis[:, 1:, :] + beta[:, 1:, :])[:, :, None, :]
-                - log_z[:, None, None, None]
-            )
-            pair *= self.pair_valid[:, :, None, None]
-            expected_trans = pair.sum(axis=(0, 1))
-        else:
-            expected_trans = np.zeros((L, L))
+        emis = np.asarray(self.X @ state_w)
+        alpha = _forward(emis, trans_w, self.k, self.off)
+        beta = _backward(emis, trans_w, self.k, self.off)
+        log_z = np.logaddexp.reduce(alpha[self.last], axis=1)
+        row_log_z = log_z[self.row_rank][:, None]
+        expected_state = np.asarray(self.X.T @ np.exp(alpha + beta - row_log_z))
+        nxt = slice(self.k[0], None)
+        pair = np.exp(
+            alpha[self.prev][:, :, None]
+            + trans_w
+            + (emis[nxt] + beta[nxt] - row_log_z[nxt])[:, None, :]
+        )
+        expected_trans = pair.sum(axis=0)
         penalty = (np.sum(state_w**2) + np.sum(trans_w**2)) / (2.0 * sigma_sq)
         objective = self._gold_score(state_w, trans_w) - float(np.sum(log_z)) - penalty
         grad = Gradient(
@@ -355,7 +349,8 @@ def train(
     Deterministic given (dataset, config): weights start at zero and every
     step is full-batch, so the seed is recorded for provenance only.
     Stops on relative objective change below config.tolerance or after
-    config.max_iterations accepted steps, whichever is first.
+    config.max_iterations accepted steps, whichever is first, or when the
+    line search finds no acceptable step; meta.stopped_by names the rule.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -403,7 +398,7 @@ def train(
                 break
             step *= 0.5
         if not accepted:
-            stopped_by = "converged"
+            stopped_by = "line_search_failed"
             break
         state, trans = cand_state, cand_trans
         iterations += 1

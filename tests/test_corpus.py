@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gujiseg.corpus import (
@@ -205,6 +205,22 @@ class TestLabeledCorpusIO:
         assert [(d.chars, d.labels) for d in back] == [
             (d.chars, d.labels) for d in docs
         ]
+
+    @given(st.lists(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(HAN + "。，")),
+                            max_size=40), max_size=5))
+    @example(["天\u2028地。", "人\x85和\x1c平，"])
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_any_text(self, texts):
+        docs = []
+        for text in texts:
+            try:
+                docs.append(labelize(Document("d", text)))
+            except EmptySequenceError:
+                pass
+        sink = io.StringIO()
+        write_labeled_corpus(docs, sink)
+        back = read_labeled_corpus(sink.getvalue())
+        assert [(d.chars, d.labels) for d in back] == [(d.chars, d.labels) for d in docs]
 
     def test_file_shape(self):
         sink = io.StringIO()

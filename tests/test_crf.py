@@ -1,9 +1,14 @@
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gujiseg import crf
 
 from gujiseg.corpus import LABELS, M, O
 from gujiseg.crf import (
@@ -288,6 +293,59 @@ class TestObjectiveAndGradient:
         with pytest.raises(ValueError):
             objective_and_gradient(make_model(), [], 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model_seed=st.integers(0, 2**32 - 1),
+        specs=st.lists(
+            st.tuples(st.integers(1, 40), st.integers(0, 2**32 - 1)), min_size=1, max_size=8
+        ),
+        data=st.data(),
+    )
+    def test_dataset_is_sum_of_its_sequences(self, model_seed, specs, data):
+        # each single-sequence dataset pays the L2 penalty once; the whole
+        # dataset pays it once in total
+        m = random_model(random.Random(model_seed))
+        dataset = []
+        for length, seed in specs:
+            rng = random.Random(seed)
+            attrs = random_attrs(rng, m, tmin=length, tmax=length)
+            dataset.append((attrs, [rng.choice(LABELS) for _ in attrs]))
+        sigma = 1.5
+        extra = len(dataset) - 1
+        penalty = (np.sum(m.state_weights**2) + np.sum(m.trans_weights**2)) / (2 * sigma**2)
+        obj, grad = objective_and_gradient(m, dataset, sigma)
+        singles = [objective_and_gradient(m, [seq], sigma) for seq in dataset]
+        assert obj == pytest.approx(sum(o for o, _ in singles) + extra * penalty, abs=1e-9)
+        pull_state = extra * m.state_weights / sigma**2
+        pull_trans = extra * m.trans_weights / sigma**2
+        assert np.allclose(grad.state, sum(g.state for _, g in singles) + pull_state, rtol=0, atol=1e-9)
+        assert np.allclose(grad.trans, sum(g.trans for _, g in singles) + pull_trans, rtol=0, atol=1e-9)
+
+        shuffled = data.draw(st.permutations(dataset))
+        obj_p, grad_p = objective_and_gradient(m, shuffled, sigma)
+        assert obj_p == pytest.approx(obj, abs=1e-9)
+        assert np.allclose(grad_p.state, grad.state, rtol=0, atol=1e-9)
+        assert np.allclose(grad_p.trans, grad.trans, rtol=0, atol=1e-9)
+
+    def test_memory_scales_with_total_positions(self):
+        # a padded [n, t_max, 2] float batch of this dataset alone would
+        # take 501 * 20000 * 2 * 8 bytes, about 160 MB
+        rng = random.Random(33)
+        m = random_model(rng)
+        dataset = [
+            (attrs, [rng.choice(LABELS) for _ in attrs])
+            for attrs in [random_attrs(rng, m, tmin=20000, tmax=20000)]
+            + [random_attrs(rng, m, tmin=5, tmax=5) for _ in range(500)]
+        ]
+        tracemalloc.start()
+        try:
+            obj, _ = objective_and_gradient(m, dataset, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(obj)
+        assert peak < 40 * 2**20
+
 
 def rule_dataset(rng, n_seqs, trigger="a5"):
     """M exactly where the previous position carried the trigger attribute."""
@@ -358,6 +416,13 @@ class TestTrain:
         model = train(data, TrainConfig(max_iterations=5000, tolerance=1e-4))
         assert model.meta.stopped_by == "converged"
         assert model.meta.iterations < 5000
+
+    def test_line_search_failure_reported(self, monkeypatch):
+        monkeypatch.setattr(crf, "MAX_BACKTRACKS", 0)
+        rng = random.Random(34)
+        model = train(rule_dataset(rng, 10), TrainConfig(max_iterations=5))
+        assert model.meta.stopped_by == "line_search_failed"
+        assert model.meta.iterations == 0
 
     def test_regularization_shrinks_weights(self):
         rng = random.Random(27)
