@@ -21,7 +21,7 @@ from .corpus import (
 )
 from .crf import CrfModel, TrainConfig, load_model, save_model, train, viterbi
 from .evaluation import ExperimentResult, Metrics, SplitSpec, evaluate, run_experiment, split
-from .features import FeatureConfig, Instance, extract_features, extract_instances
+from .features import FeatureConfig, Instance, extract_features, extract_instances, featurize_chars
 from .lexicons import (
     EntityLexicon,
     LexiconSet,
@@ -65,6 +65,7 @@ __all__ = [
     "Instance",
     "extract_features",
     "extract_instances",
+    "featurize_chars",
     "EntityLexicon",
     "LexiconSet",
     "PmiTable",

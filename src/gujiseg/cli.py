@@ -24,6 +24,7 @@ from .corpus import (
     DEFAULT_BOUNDARY,
     DEFAULT_DISCARD,
     CorpusFormatError,
+    Document,
     EmptySequenceError,
     corpus_stats,
     filter_short,
@@ -31,7 +32,6 @@ from .corpus import (
     parse_corpus,
     read_labeled_corpus,
     read_text_utf8,
-    reinsert_marks,
     write_labeled_corpus,
 )
 from .crf import TrainConfig, TrainingError, load_model, save_model, train
@@ -223,18 +223,14 @@ def cmd_punctuate(args: argparse.Namespace) -> int:
     model = load_model(read_text_utf8(args.model))
     lexicons = _load_lexicons(args)
     _require_resources(model.config, lexicons)
-    text = read_text_utf8(args.input)
-    lines = text.splitlines()
     stripped: list[str] = []
     boundary_found = 0
-    for line in lines:
-        kept = []
-        for ch in line:
-            if ch in DEFAULT_BOUNDARY:
-                boundary_found += 1
-            elif ch not in DEFAULT_DISCARD:
-                kept.append(ch)
-        stripped.append("".join(kept))
+    for line in read_text_utf8(args.input).splitlines():
+        boundary_found += sum(map(line.count, DEFAULT_BOUNDARY))
+        try:
+            stripped.append(labelize(Document("", line)).chars)
+        except EmptySequenceError:
+            stripped.append("")
     if boundary_found:
         logger.warning("input already contains %d boundary marks; stripped before decoding",
                        boundary_found)

@@ -8,7 +8,6 @@ labeled output.
 from __future__ import annotations
 
 import string
-import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -239,11 +238,3 @@ def read_labeled_corpus(source: str | TextIO) -> list[LabeledSequence]:
         labels.append(fields[1])
     flush()
     return docs
-
-
-def describe_char(ch: str) -> str:
-    """Human-readable name for a character, for diagnostics."""
-    try:
-        return f"{ch!r} ({unicodedata.name(ch)})"
-    except ValueError:
-        return f"{ch!r} (U+{ord(ch):04X})"

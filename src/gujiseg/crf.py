@@ -4,11 +4,15 @@ State features are (attribute, label) indicators; transition features are
 label-pair indicators. All inference runs in log space (sequences run to
 hundreds of positions, probability-domain scaling would underflow).
 
-Forward and backward run over a packed time-major layout: sequences are
-sorted longest first, so position t of the k[t] sequences still running is
-the contiguous row block off[t]:off[t]+k[t], in the same sequence order at
-every t. Each step is one slice and one log-sum-exp reduction, with no
-padding and no masks; a lone sequence is the case k[t] = 1.
+Training, decoding and marginals all run over one packed time-major
+layout: sequences are sorted longest first, so position t of the k[t]
+sequences still running is the contiguous row block off[t]:off[t]+k[t], in
+the same sequence order at every t. Each step is one slice and one
+reduction, with no padding and no masks; a lone sequence is the case
+k[t] = 1. The backward recursion is shared: reduced with log-sum-exp it
+gives the backward scores of forward-backward, reduced with max the best
+suffix scores of Viterbi. Emissions are always a sparse attribute-firing
+matrix times the state weights.
 
 Training is full-batch gradient ascent on the L2-penalized log-likelihood
 with a backtracking (Armijo) line search: deterministic, monotone, and easy
@@ -97,11 +101,21 @@ class CrfModel:
         return self.labels.index(label)
 
 
-def _packed_steps(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, off) of the packed layout: k[t] sequences are longer than t,
-    and their rows at position t start at off[t]."""
+def _packed_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, off, order) of the packed layout: k[t] sequences are longer than
+    t, their rows at position t start at off[t], and packed row q is row
+    order[q] of the sequences laid end to end. Sequences are ranked longest
+    first (ties keep their order), and rank r at position t is row off[t] + r.
+    """
     k = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
-    return k, np.cumsum(k) - k
+    off = np.cumsum(k) - k
+    n, total = len(lengths), int(lengths.sum())
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(n)
+    position = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    order = np.empty(total, dtype=np.int64)
+    order[off[position] + np.repeat(rank, lengths)] = np.arange(total)
+    return k, off, order
 
 
 def _forward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -115,28 +129,48 @@ def _forward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray
     return alpha
 
 
-def _backward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Backward scores; a sequence's last row keeps beta = 0."""
+def _backward(
+    emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray, add=np.logaddexp
+) -> np.ndarray:
+    """Backward scores in the semiring whose sum is `add`: np.logaddexp for
+    forward-backward, np.maximum for Viterbi. A sequence's last row keeps
+    0; emis + beta scores a row together with its (best) suffix."""
     k, off = k.tolist(), off.tolist()
     beta = np.zeros_like(emis)
     for t in range(len(k) - 2, -1, -1):
         nxt = slice(off[t + 1], off[t + 1] + k[t + 1])
         ahead = (emis[nxt] + beta[nxt])[:, None, :]
-        beta[off[t] : off[t] + k[t + 1]] = np.logaddexp.reduce(trans + ahead, axis=2)
+        beta[off[t] : off[t] + k[t + 1]] = add.reduce(trans + ahead, axis=2)
     return beta
 
 
-def _emissions(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray:
-    """Per-position state scores [T, L]; unknown attributes contribute 0."""
-    emis = np.zeros((len(attrs), len(model.labels)))
-    index = model.attr_index
-    weights = model.state_weights
-    for t, row in enumerate(attrs):
+def _fire(
+    attrs: Sequence[Sequence[str]], attr_index: dict[str, int], cols: array, indptr: array
+) -> None:
+    """Append one sequence's rows of the sparse attribute-firing matrix to
+    the CSR arrays `cols` and `indptr`; unknown attributes fire nothing."""
+    for row in attrs:
         for a in row:
-            j = index.get(a)
+            j = attr_index.get(a)
             if j is not None:
-                emis[t] += weights[j]
-    return emis
+                cols.append(j)
+        indptr.append(len(cols))
+
+
+def _firing_matrix(cols: array, indptr: array, n_attrs: int) -> sparse.csr_matrix:
+    return sparse.csr_matrix(
+        (np.ones(len(cols)), np.array(cols, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, n_attrs),
+    )
+
+
+def _state_scores(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray:
+    """Emissions [T, L] of one sequence: its firing matrix times the state
+    weights."""
+    cols, indptr = array("q"), array("q", [0])
+    _fire(attrs, model.attr_index, cols, indptr)
+    firing = _firing_matrix(cols, indptr, len(model.attr_index))
+    return np.asarray(firing @ model.state_weights)
 
 
 def score_sequence(
@@ -145,7 +179,7 @@ def score_sequence(
     """Unnormalized log-potential of one labeling (no transition at t=0)."""
     if len(attrs) != len(labels) or not attrs:
         raise ValueError(f"{len(attrs)} positions vs {len(labels)} labels")
-    emis = _emissions(model, attrs)
+    emis = _state_scores(model, attrs)
     ids = [model.label_id(l) for l in labels]
     score = float(sum(emis[t, y] for t, y in enumerate(ids)))
     score += float(sum(model.trans_weights[a, b] for a, b in zip(ids, ids[1:])))
@@ -155,8 +189,8 @@ def score_sequence(
 def log_partition(model: CrfModel, attrs: Sequence[Sequence[str]]) -> float:
     if not attrs:
         raise ValueError("empty sequence")
-    k, off = _packed_steps(np.array([len(attrs)]))
-    alpha = _forward(_emissions(model, attrs), model.trans_weights, k, off)
+    k, off, _ = _packed_order(np.array([len(attrs)]))
+    alpha = _forward(_state_scores(model, attrs), model.trans_weights, k, off)
     return float(np.logaddexp.reduce(alpha[-1]))
 
 
@@ -166,9 +200,9 @@ def marginals(
     """(unary [T, L], pairwise [T-1, L, L]) posterior marginals."""
     if not attrs:
         raise ValueError("empty sequence")
-    emis = _emissions(model, attrs)
+    k, off, _ = _packed_order(np.array([len(attrs)]))
+    emis = _state_scores(model, attrs)
     trans = model.trans_weights
-    k, off = _packed_steps(np.array([len(attrs)]))
     alpha = _forward(emis, trans, k, off)
     beta = _backward(emis, trans, k, off)
     log_z = np.logaddexp.reduce(alpha[-1])
@@ -189,29 +223,55 @@ def viterbi(
     canonical order, decided left to right: a backward pass computes best
     suffix scores, then a forward pass takes the first argmax at each step.
     """
-    if not attrs:
-        raise ValueError("empty sequence")
-    emis = _emissions(model, attrs)
-    T, L = emis.shape
+    return viterbi_batch(model, [attrs])[0]
+
+
+def viterbi_batch(
+    model: CrfModel, attr_seqs: Iterable[Sequence[Sequence[str]]]
+) -> list[tuple[list[str], float]]:
+    """viterbi() of every sequence, decoded together in one packed pass.
+
+    Each sequence is reduced to its emissions as soon as it is drawn from
+    `attr_seqs`, so its attribute lists can be dropped before the next one
+    is featurized.
+    """
+    emis_seqs = []
+    for attrs in attr_seqs:
+        if not attrs:
+            raise ValueError("empty sequence")
+        emis_seqs.append(_state_scores(model, attrs))
+    if not emis_seqs:
+        return []
+    lengths = np.array([len(e) for e in emis_seqs])
+    k, off, order = _packed_order(lengths)
+    emis = np.concatenate(emis_seqs)[order]
+    del emis_seqs
     trans = model.trans_weights
-    suffix = np.empty((T, L))
-    suffix[T - 1] = emis[T - 1]
-    for t in range(T - 2, -1, -1):
-        suffix[t] = emis[t] + np.max(trans + suffix[t + 1][None, :], axis=1)
-    y = int(np.argmax(suffix[0]))
-    path = [y]
-    for t in range(1, T):
-        y = int(np.argmax(trans[y] + suffix[t]))
-        path.append(y)
-    best = float(np.max(suffix[0]))
-    return [model.labels[i] for i in path], best
+    suffix = emis + _backward(emis, trans, k, off, np.maximum)
+    n, steps, starts = len(lengths), k.tolist(), off.tolist()
+    path = np.empty(len(emis), dtype=np.int64)
+    path[:n] = np.argmax(suffix[:n], axis=1)
+    for t in range(1, len(steps)):
+        prev = path[starts[t - 1] : starts[t - 1] + steps[t]]
+        rows = slice(starts[t], starts[t] + steps[t])
+        path[rows] = np.argmax(trans[prev] + suffix[rows], axis=1)
+    labels = np.empty(len(path), dtype=object)
+    labels[order] = np.array(model.labels, dtype=object)[path]
+    labels = labels.tolist()
+    # rows 0..n-1 are the sequences' first positions, in rank order
+    best = np.max(suffix[:n], axis=1)[np.argsort(order[:n])]
+    ends = np.cumsum(lengths).tolist()
+    return [
+        (labels[end - length : end], float(b))
+        for end, length, b in zip(ends, lengths.tolist(), best)
+    ]
 
 
 class _Encoded:
     """Dataset compiled to a sparse firing matrix in packed time-major order.
 
     Sequences are ranked longest first; the row of rank r at position t is
-    off[t] + r (see _packed_steps). `X` and every per-position array
+    off[t] + r (see _packed_order). `X` and every per-position array
     (emissions, alpha, beta) share that order. Row q >= k[0] follows row
     `prev[q - k[0]]` of its sequence, row q belongs to rank `row_rank[q]`,
     and rank r ends at row `last[r]`.
@@ -235,29 +295,17 @@ class _Encoded:
             if not attrs:
                 raise ValueError("empty sequence in dataset")
             lengths.append(len(attrs))
-            for row, lab in zip(attrs, labs):
+            for lab in labs:
                 try:
                     gold.append(label_id[lab])
                 except KeyError:
                     raise ValueError(f"label {lab!r} not in {tuple(labels)}")
-                for a in row:
-                    j = attr_index.get(a)
-                    if j is not None:
-                        cols.append(j)
-                indptr.append(len(cols))
+            _fire(attrs, attr_index, cols, indptr)
         lengths = np.array(lengths, dtype=np.int64)
         n, total = len(lengths), int(lengths.sum())
-        self.k, self.off = k, off = _packed_steps(lengths)
-        # rank sequences longest first; rank r at position t is row off[t] + r
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.argsort(-lengths, kind="stable")] = np.arange(n)
-        position = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        order = np.empty(total, dtype=np.int64)
-        order[off[position] + np.repeat(rank, lengths)] = np.arange(total)
-        self.X = sparse.csr_matrix(
-            (np.ones(len(cols)), np.array(cols, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-            shape=(total, A),
-        )[order]
+        k, off, order = _packed_order(lengths)
+        self.k, self.off = k, off
+        self.X = _firing_matrix(cols, indptr, A)[order]
         gold = np.array(gold, dtype=np.int64)[order]
         self.row_rank = np.arange(total) - np.repeat(off, k)
         self.prev = np.arange(k[0], total) - np.repeat(k[:-1], k[1:])
@@ -454,7 +502,7 @@ def save_model(model: CrfModel, sink: TextIO) -> None:
 
 def load_model(source: str | TextIO) -> CrfModel:
     text = source if isinstance(source, str) else source.read()
-    lines = text.splitlines()
+    lines = text.split("\n")
     cursor = 0
 
     def take(what: str) -> tuple[int, str]:

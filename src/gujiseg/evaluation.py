@@ -6,11 +6,9 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import crf
 from .corpus import LabeledSequence, M
@@ -18,8 +16,6 @@ from .features import FeatureConfig, featurize_chars
 from .lexicons import LexiconSet, build_pmi_table
 
 logger = logging.getLogger(__name__)
-
-THREADS_ENV_VAR = "GUJISEG_THREADS"
 
 
 class SplitError(ValueError):
@@ -143,45 +139,15 @@ class ExperimentResult:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def max_workers(n_items: Optional[int] = None) -> int:
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap is None or not cap.strip():
-        workers = os.cpu_count() or 1
-    else:
-        try:
-            workers = int(cap)
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV_VAR} must be a positive integer, got {cap!r}"
-            ) from None
-        if workers < 1:
-            raise ValueError(
-                f"{THREADS_ENV_VAR} must be a positive integer, got {cap!r}"
-            )
-    if n_items is not None:
-        workers = max(1, min(workers, n_items))
-    return workers
-
-
 def predict_labels(
     model: crf.CrfModel,
     char_seqs: Sequence[Sequence[str]],
     lexicons: LexiconSet = LexiconSet(),
 ) -> list[list[str]]:
-    """Viterbi-decode each sequence, in parallel across sequences."""
+    """Viterbi-decode every sequence, all of them in one packed batch."""
     cfg = model.config
-
-    def decode(chars: Sequence[str]) -> list[str]:
-        labels, _ = crf.viterbi(model, featurize_chars(chars, cfg, lexicons))
-        return labels
-
-    if not char_seqs:
-        return []
-    workers = max_workers(len(char_seqs))
-    if workers == 1:
-        return [decode(chars) for chars in char_seqs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(decode, char_seqs))
+    attr_seqs = (featurize_chars(chars, cfg, lexicons) for chars in char_seqs)
+    return [labels for labels, _ in crf.viterbi_batch(model, attr_seqs)]
 
 
 def run_experiment(

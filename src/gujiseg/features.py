@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 from .lexicons import (
     EntityTag,
@@ -25,10 +25,6 @@ BOS = "<BOS>"
 EOS = "<EOS>"
 
 K_WARN_LIMIT = 10
-
-
-class InstanceFormatError(ValueError):
-    """Raised for malformed instance files."""
 
 
 @dataclass(frozen=True)
@@ -186,31 +182,3 @@ def extract_instances(seq, cfg: FeatureConfig, lex: LexiconSet = LexiconSet()) -
         Instance(label, tuple(attrs))
         for label, attrs in zip(seq.labels, per_position)
     ]
-
-
-def write_instances(instances: Iterable[Instance], sink: TextIO) -> None:
-    """Tab-separated export: one instance per line, label first."""
-    for n, inst in enumerate(instances, 1):
-        if inst.label is None:
-            raise ValueError(f"instance {n}: cannot serialize without a label")
-        for attr in inst.attributes:
-            if "\t" in attr or "\n" in attr:
-                raise ValueError(f"instance {n}: attribute {attr!r} contains a separator")
-        sink.write(inst.label + "".join("\t" + a for a in inst.attributes) + "\n")
-
-
-def read_instances(source: str | TextIO) -> list[Instance]:
-    text = source if isinstance(source, str) else source.read()
-    instances: list[Instance] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if not fields[0]:
-            raise InstanceFormatError(f"instance line {lineno}: empty label field")
-        if fields[0] not in ("M", "O"):
-            raise InstanceFormatError(
-                f"instance line {lineno}: unknown label {fields[0]!r}"
-            )
-        instances.append(Instance(fields[0], tuple(fields[1:])))
-    return instances

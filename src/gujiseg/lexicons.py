@@ -77,9 +77,6 @@ class LexiconSet:
             raise ValueError(f"no rhyme dictionary loaded for source {source!r}")
 
 
-EMPTY_LEXICONS = LexiconSet()
-
-
 def load_rhyme_dict(source: str | TextIO, which: str) -> RhymeDictionary:
     """Load a rhyme-class TSV (`<char>\\t<class>`; repeated lines allowed for
     polyphones, class order is first-seen)."""
@@ -223,8 +220,8 @@ def load_pmi_table(source: str | TextIO, min_count: int = 1) -> PmiTable:
     """Read a PMI TSV back. The file does not record the threshold it was
     built with, so min_count defaults to 1 (every stored pair is kept)."""
     text = source if isinstance(source, str) else source.read()
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#N="):
+    lines = text.split("\n")
+    if not lines[0].startswith("#N="):
         raise LexiconFormatError("PMI table: missing #N= header line")
     try:
         total = int(lines[0][3:])

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gujiseg import crf
@@ -24,8 +24,10 @@ from gujiseg.crf import (
     score_sequence,
     train,
     viterbi,
+    viterbi_batch,
 )
-from gujiseg.features import FeatureConfig
+from gujiseg.evaluation import predict_labels
+from gujiseg.features import FeatureConfig, featurize_chars
 from oracles import (
     brute_log_partition,
     brute_marginals,
@@ -219,6 +221,62 @@ class TestViterbi:
                 assert log_partition(m, attrs) != pytest.approx(
                     log_partition(shifted, attrs)
                 )
+
+
+class TestViterbiBatch:
+    # integer weights force exact ties, which must break as in viterbi()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model_seed=st.integers(0, 2**32 - 1),
+        specs=st.lists(
+            st.tuples(st.integers(1, 8), st.integers(0, 2**32 - 1)), min_size=1, max_size=8
+        ),
+        data=st.data(),
+    )
+    def test_matches_brute_force_and_lone_decode(self, model_seed, specs, data):
+        m = random_model(random.Random(model_seed))
+        m = make_model(tuple(m.attr_index), np.rint(m.state_weights), np.rint(m.trans_weights))
+        batch = [
+            random_attrs(random.Random(seed), m, tmin=length, tmax=length)
+            for length, seed in specs
+        ]
+        decoded = viterbi_batch(m, iter(batch))
+        assert len(decoded) == len(batch)
+        for attrs, (labels, score) in zip(batch, decoded):
+            bids, bscore = brute_viterbi(m, attrs)
+            assert labels == [m.labels[i] for i in bids]
+            assert score == pytest.approx(bscore, abs=1e-9)
+            assert all(type(label) is str for label in labels)
+            assert viterbi(m, attrs) == (labels, score)
+        perm = data.draw(st.permutations(range(len(batch))))
+        assert viterbi_batch(m, [batch[i] for i in perm]) == [decoded[i] for i in perm]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        texts=st.lists(st.text(alphabet="天地玄黃", min_size=1, max_size=8), min_size=1, max_size=6),
+    )
+    def test_predict_labels_matches_brute_force(self, seed, texts):
+        rng = random.Random(seed)
+        attr_seqs = [featurize_chars(t, FeatureConfig()) for t in texts]
+        universe = sorted({a for attrs in attr_seqs for row in attrs for a in row})
+        known = [a for a in universe if rng.random() < 0.7]
+        m = make_model(
+            known,
+            np.reshape([rng.randint(-2, 2) for _ in LABELS for _ in known], (len(known), 2)),
+            [[rng.randint(-2, 2) for _ in LABELS] for _ in LABELS],
+        )
+        preds = predict_labels(m, texts)
+        assert preds == [[m.labels[i] for i in brute_viterbi(m, a)[0]] for a in attr_seqs]
+        assert all(type(label) is str for labels in preds for label in labels)
+
+    def test_empty_batch(self):
+        assert viterbi_batch(make_model(), iter([])) == []
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            viterbi_batch(make_model(), [[["a"]], []])
 
 
 class TestObjectiveAndGradient:
@@ -499,6 +557,22 @@ class TestModelIO:
         lines[target] = "0\tO\tnot-a-number"
         with pytest.raises(ModelFormatError, match=str(target + 1)):
             load_model("\n".join(lines) + "\n")
+
+    # tab and newline are the format's separators, which save_model rejects
+    @settings(max_examples=40, deadline=None)
+    @given(st.text(st.characters(exclude_characters="\t\n"), min_size=1, max_size=12))
+    @example("天\u2028地玄黃")
+    def test_round_trip_any_text(self, text):
+        cfg = FeatureConfig(k=1, use_bigrams=True)
+        attrs = featurize_chars(text, cfg)
+        labels = [O] * (len(attrs) - 1) + [M]
+        model = train([(attrs, labels)], TrainConfig(max_iterations=2), feature_config=cfg)
+        sink = io.StringIO()
+        save_model(model, sink)
+        back = load_model(sink.getvalue())
+        assert back.attr_index == model.attr_index
+        assert np.array_equal(back.state_weights, model.state_weights)
+        assert np.array_equal(back.trans_weights, model.trans_weights)
 
     def test_weights_survive_exactly(self):
         rng = random.Random(32)

@@ -14,7 +14,6 @@ from gujiseg.evaluation import (
     SplitError,
     SplitSpec,
     evaluate,
-    max_workers,
     run_experiment,
     split,
 )
@@ -206,21 +205,6 @@ class TestExperimentResult:
         assert r.mean_f1 == m.f1
         assert r.f1_of_means == pytest.approx(m.f1)
         assert r.mean_item_accuracy == m.item_accuracy
-
-
-class TestMaxWorkers:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("GUJISEG_THREADS", "2")
-        assert max_workers(100) == 2
-
-    def test_item_cap(self, monkeypatch):
-        monkeypatch.delenv("GUJISEG_THREADS", raising=False)
-        assert max_workers(1) == 1
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("GUJISEG_THREADS", "0")
-        with pytest.raises(ValueError):
-            max_workers(4)
 
 
 class TestRunExperiment:

@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -11,12 +10,9 @@ from gujiseg.features import (
     EOS,
     FeatureConfig,
     Instance,
-    InstanceFormatError,
     extract_features,
     extract_instances,
     featurize_chars,
-    read_instances,
-    write_instances,
 )
 from gujiseg.lexicons import (
     GUANGYUN,
@@ -266,44 +262,3 @@ class TestExtraction:
         pos_a = len(prefix) + 2
         pos_b = 2 + 2
         assert a[pos_a] == b[pos_b]
-
-
-class TestInstanceIO:
-    def test_round_trip_random(self):
-        rng = random.Random(3)
-        pool = "天地玄黃宇宙洪荒日月盈昃"
-        insts = []
-        for _ in range(1000):
-            n = rng.randint(1, 6)
-            attrs = tuple(
-                f"w[{rng.randint(-3, 3)}]={rng.choice(pool)}" for _ in range(n)
-            )
-            insts.append(Instance(rng.choice("MO"), attrs))
-        sink = io.StringIO()
-        write_instances(insts, sink)
-        assert read_instances(sink.getvalue()) == insts
-
-    def test_exact_shape(self):
-        sink = io.StringIO()
-        write_instances([Instance("O", ("w[0]=天", "w[1]=下"))], sink)
-        assert sink.getvalue() == "O\tw[0]=天\tw[1]=下\n"
-
-    def test_unlabeled_write_rejected(self):
-        with pytest.raises(ValueError):
-            write_instances([Instance(None, ("w[0]=天",))], io.StringIO())
-
-    def test_tab_in_attribute_rejected(self):
-        with pytest.raises(ValueError):
-            write_instances([Instance("O", ("w[0]=\t",))], io.StringIO())
-
-    def test_empty_label_field(self):
-        with pytest.raises(InstanceFormatError, match="line 2"):
-            read_instances("O\tw[0]=天\n\tw[0]=下\n")
-
-    def test_unknown_label(self):
-        with pytest.raises(InstanceFormatError, match="line 1"):
-            read_instances("B\tw[0]=天\n")
-
-    def test_blank_lines_skipped(self):
-        got = read_instances("O\tw[0]=天\n\nM\tw[0]=下\n")
-        assert [i.label for i in got] == ["O", "M"]

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gujiseg.corpus import LabeledSequence
 from gujiseg.lexicons import (
@@ -215,6 +217,18 @@ class TestPmiBin:
 class TestPmiIO:
     def test_round_trip(self):
         table = build_pmi_table(["天月天月", "天月火水"], min_count=1)
+        sink = io.StringIO()
+        save_pmi_table(table, sink)
+        back = load_pmi_table(sink.getvalue())
+        assert back.total_bigrams == table.total_bigrams
+        assert back.pmi == table.pmi
+
+    # tab and newline are the format's separators
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(st.characters(exclude_characters="\t\n"), max_size=12), max_size=6))
+    @example(["天\u2028地", "天\u2028"])
+    def test_round_trip_any_text(self, docs):
+        table = build_pmi_table(docs, min_count=1)
         sink = io.StringIO()
         save_pmi_table(table, sink)
         back = load_pmi_table(sink.getvalue())
