@@ -11,8 +11,9 @@ the same sequence order at every t. Each step is one slice and one
 reduction, with no padding and no masks; a lone sequence is the case
 k[t] = 1. The backward recursion is shared: reduced with log-sum-exp it
 gives the backward scores of forward-backward, reduced with max the best
-suffix scores of Viterbi. Emissions are always a sparse attribute-firing
-matrix times the state weights.
+suffix scores of Viterbi. Emissions always come from one attribute-firing
+operator (_Firing): the 0/1 matrix F of which attributes fire at which row,
+built from CSR arrays and offering F @ w and F.T @ m in numpy alone.
 
 Training is full-batch gradient ascent on the L2-penalized log-likelihood
 with a backtracking (Armijo) line search: deterministic, monotone, and easy
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import LABELS
 from .features import FeatureConfig
@@ -147,8 +147,8 @@ def _backward(
 def _fire(
     attrs: Sequence[Sequence[str]], attr_index: dict[str, int], cols: array, indptr: array
 ) -> None:
-    """Append one sequence's rows of the sparse attribute-firing matrix to
-    the CSR arrays `cols` and `indptr`; unknown attributes fire nothing."""
+    """Append one sequence's rows of the attribute-firing matrix to the CSR
+    arrays `cols` and `indptr`; unknown attributes fire nothing."""
     for row in attrs:
         for a in row:
             j = attr_index.get(a)
@@ -157,11 +157,52 @@ def _fire(
         indptr.append(len(cols))
 
 
-def _firing_matrix(cols: array, indptr: array, n_attrs: int) -> sparse.csr_matrix:
-    return sparse.csr_matrix(
-        (np.ones(len(cols)), np.array(cols, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, n_attrs),
-    )
+class _Firing:
+    """The 0/1 attribute-firing matrix F [rows, n_attrs] whose row i fires
+    cols[indptr[i]:indptr[i+1]], with its rows taken in `order` if given.
+
+    It offers the two products the CRF needs, both summed in CSR row order
+    from zero, so they equal a sparse-matrix product bit for bit:
+    scores(w) = F @ w and counts(m) = F.T @ m. For scores the rows are
+    ranked by how many attributes they fire, most first, so the rows that
+    fire an s-th attribute are a prefix and slot s adds into one slice.
+    """
+
+    def __init__(
+        self, cols: array, indptr: array, n_attrs: int, order: Optional[np.ndarray] = None
+    ) -> None:
+        cols = np.asarray(cols, dtype=np.intp)
+        indptr = np.asarray(indptr, dtype=np.intp)
+        start, fired = indptr[:-1], np.diff(indptr)
+        if order is not None:
+            start, fired = start[order], fired[order]
+        self.n_attrs, self.nnz, self.fired = n_attrs, len(cols), fired
+        # CSR entries of the rows in their new order, for counts
+        self.cols = cols[np.arange(self.nnz) + np.repeat(start - np.cumsum(fired) + fired, fired)]
+        by_fired = np.argsort(-fired, kind="stable")
+        self.rank = np.empty_like(by_fired)
+        self.rank[by_fired] = np.arange(len(fired))
+        start = start[by_fired]
+        self.slots = [
+            cols[start[: np.count_nonzero(fired > s)] + s] for s in range(fired.max(initial=0))
+        ]
+
+    def scores(self, w: np.ndarray) -> np.ndarray:
+        """F @ w for w [n_attrs, L]."""
+        out = np.zeros((len(self.fired), w.shape[1]))
+        for cols in self.slots:
+            out[: len(cols)] += np.take(w, cols, axis=0)
+        return np.take(out, self.rank, axis=0)
+
+    def counts(self, m: np.ndarray) -> np.ndarray:
+        """F.T @ m for m [rows, L]."""
+        return np.stack(
+            [
+                np.bincount(self.cols, np.repeat(m[:, l], self.fired), self.n_attrs)
+                for l in range(m.shape[1])
+            ],
+            axis=1,
+        )
 
 
 def _state_scores(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray:
@@ -169,8 +210,7 @@ def _state_scores(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray
     weights."""
     cols, indptr = array("q"), array("q", [0])
     _fire(attrs, model.attr_index, cols, indptr)
-    firing = _firing_matrix(cols, indptr, len(model.attr_index))
-    return np.asarray(firing @ model.state_weights)
+    return _Firing(cols, indptr, len(model.attr_index)).scores(model.state_weights)
 
 
 def score_sequence(
@@ -268,13 +308,13 @@ def viterbi_batch(
 
 
 class _Encoded:
-    """Dataset compiled to a sparse firing matrix in packed time-major order.
+    """Dataset compiled to a firing operator in packed time-major order.
 
     Sequences are ranked longest first; the row of rank r at position t is
-    off[t] + r (see _packed_order). `X` and every per-position array
-    (emissions, alpha, beta) share that order. Row q >= k[0] follows row
-    `prev[q - k[0]]` of its sequence, row q belongs to rank `row_rank[q]`,
-    and rank r ends at row `last[r]`.
+    off[t] + r (see _packed_order). The rows of the firing operator `X` and
+    of every per-position array (emissions, alpha, beta) share that order.
+    Row q >= k[0] follows row `prev[q - k[0]]` of its sequence, row q
+    belongs to rank `row_rank[q]`, and rank r ends at row `last[r]`.
     """
 
     def __init__(
@@ -305,14 +345,14 @@ class _Encoded:
         n, total = len(lengths), int(lengths.sum())
         k, off, order = _packed_order(lengths)
         self.k, self.off = k, off
-        self.X = _firing_matrix(cols, indptr, A)[order]
+        self.X = _Firing(cols, indptr, A, order)
         gold = np.array(gold, dtype=np.int64)[order]
         self.row_rank = np.arange(total) - np.repeat(off, k)
         self.prev = np.arange(k[0], total) - np.repeat(k[:-1], k[1:])
         self.last = off[np.sort(lengths)[::-1] - 1] + np.arange(n)
         onehot = np.zeros((total, L))
         onehot[np.arange(total), gold] = 1.0
-        self.observed_state = np.asarray(self.X.T @ onehot)
+        self.observed_state = self.X.counts(onehot)
         pair_ids = gold[self.prev] * L + gold[k[0] :]
         self.observed_trans = np.bincount(pair_ids, minlength=L * L).reshape(L, L).astype(float)
 
@@ -321,21 +361,41 @@ class _Encoded:
             np.sum(self.observed_state * state_w) + np.sum(self.observed_trans * trans_w)
         )
 
-    def objective(self, state_w: np.ndarray, trans_w: np.ndarray, sigma_sq: float) -> float:
-        alpha = _forward(np.asarray(self.X @ state_w), trans_w, self.k, self.off)
-        log_z = np.logaddexp.reduce(alpha[self.last], axis=1)
+    def _forward_pass(
+        self, state_w: np.ndarray, trans_w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(emissions, alpha, per-sequence log Z) at the given weights."""
+        emis = self.X.scores(state_w)
+        alpha = _forward(emis, trans_w, self.k, self.off)
+        return emis, alpha, np.logaddexp.reduce(alpha[self.last], axis=1)
+
+    def _value(
+        self, state_w: np.ndarray, trans_w: np.ndarray, log_z: np.ndarray, sigma_sq: float
+    ) -> float:
         penalty = (np.sum(state_w**2) + np.sum(trans_w**2)) / (2.0 * sigma_sq)
         return self._gold_score(state_w, trans_w) - float(np.sum(log_z)) - penalty
 
-    def objective_and_gradient(
+    def objective(
         self, state_w: np.ndarray, trans_w: np.ndarray, sigma_sq: float
+    ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The objective at a line-search probe, with the probe's forward
+        pass, which objective_and_gradient reuses if the probe is accepted."""
+        forward = self._forward_pass(state_w, trans_w)
+        return self._value(state_w, trans_w, forward[2], sigma_sq), forward
+
+    def objective_and_gradient(
+        self,
+        state_w: np.ndarray,
+        trans_w: np.ndarray,
+        sigma_sq: float,
+        forward: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> tuple[float, Gradient]:
-        emis = np.asarray(self.X @ state_w)
-        alpha = _forward(emis, trans_w, self.k, self.off)
+        if forward is None:
+            forward = self._forward_pass(state_w, trans_w)
+        emis, alpha, log_z = forward
         beta = _backward(emis, trans_w, self.k, self.off)
-        log_z = np.logaddexp.reduce(alpha[self.last], axis=1)
         row_log_z = log_z[self.row_rank][:, None]
-        expected_state = np.asarray(self.X.T @ np.exp(alpha + beta - row_log_z))
+        expected_state = self.X.counts(np.exp(alpha + beta - row_log_z))
         nxt = slice(self.k[0], None)
         pair = np.exp(
             alpha[self.prev][:, :, None]
@@ -343,8 +403,7 @@ class _Encoded:
             + (emis[nxt] + beta[nxt] - row_log_z[nxt])[:, None, :]
         )
         expected_trans = pair.sum(axis=0)
-        penalty = (np.sum(state_w**2) + np.sum(trans_w**2)) / (2.0 * sigma_sq)
-        objective = self._gold_score(state_w, trans_w) - float(np.sum(log_z)) - penalty
+        objective = self._value(state_w, trans_w, log_z, sigma_sq)
         grad = Gradient(
             self.observed_state - expected_state - state_w / sigma_sq,
             self.observed_trans - expected_trans - trans_w / sigma_sq,
@@ -438,7 +497,7 @@ def train(
         for _ in range(MAX_BACKTRACKS):
             cand_state = state + step * grad.state
             cand_trans = trans + step * grad.trans
-            cand_obj = enc.objective(cand_state, cand_trans, sigma_sq)
+            cand_obj, forward = enc.objective(cand_state, cand_trans, sigma_sq)
             if not np.isfinite(cand_obj):
                 raise TrainingError(f"objective diverged at step size {step}")
             if cand_obj >= objective + ARMIJO_C * step * gnorm_sq:
@@ -452,7 +511,7 @@ def train(
         iterations += 1
         relative = abs(cand_obj - objective) / max(abs(objective), 1.0)
         prev_gnorm_sq, prev_step, prev_grad = gnorm_sq, step, grad
-        objective, grad = enc.objective_and_gradient(state, trans, sigma_sq)
+        objective, grad = enc.objective_and_gradient(state, trans, sigma_sq, forward)
         history.append(objective)
         if relative < config.tolerance:
             stopped_by = "converged"
@@ -486,13 +545,13 @@ def save_model(model: CrfModel, sink: TextIO) -> None:
         if "\t" in attr or "\n" in attr:
             raise ValueError(f"attribute {attr!r} contains a separator")
         sink.write(f"{attr_id}\t{attr}\n")
-    nonzero = np.argwhere(model.state_weights != 0.0)
-    sink.write(f"state\t{len(nonzero)}\n")
-    for attr_id, label_id in nonzero:
-        sink.write(
-            f"{attr_id}\t{model.labels[label_id]}"
-            f"\t{model.state_weights[attr_id, label_id]:.17g}\n"
-        )
+    attr_ids, label_ids = np.nonzero(model.state_weights)
+    values = model.state_weights[attr_ids, label_ids]
+    sink.write(f"state\t{len(values)}\n")
+    sink.writelines(
+        f"{attr_id}\t{model.labels[label_id]}\t{value:.17g}\n"
+        for attr_id, label_id, value in zip(attr_ids.tolist(), label_ids.tolist(), values.tolist())
+    )
     sink.write(f"trans\t{len(model.labels) ** 2}\n")
     for i, a in enumerate(model.labels):
         for j, b in enumerate(model.labels):

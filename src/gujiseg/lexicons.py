@@ -213,7 +213,10 @@ def pmi_bin(value: float | None) -> str:
 def save_pmi_table(table: PmiTable, sink: TextIO) -> None:
     sink.write(f"#N={table.total_bigrams}\n")
     for (a, b), value in sorted(table.pmi.items()):
-        sink.write(f"{a}{b}\t{value:.17g}\n")
+        pair = a + b
+        if "\t" in pair or "\n" in pair:
+            raise ValueError(f"PMI pair {pair!r} contains a separator")
+        sink.write(f"{pair}\t{value:.17g}\n")
 
 
 def load_pmi_table(source: str | TextIO, min_count: int = 1) -> PmiTable:

@@ -1,7 +1,12 @@
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +284,47 @@ class TestViterbiBatch:
             viterbi_batch(make_model(), [[["a"]], []])
 
 
+class TestFiring:
+    # rows fire 0-5 attributes, repeats allowed; an empty row is what a
+    # position whose attributes are all unknown becomes at decode
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n_attrs: st.tuples(
+                st.just(n_attrs),
+                st.lists(st.lists(st.integers(0, n_attrs - 1), max_size=5), min_size=1, max_size=12),
+                st.randoms(use_true_random=False),
+            )
+        )
+    )
+    def test_products_match_dense(self, case):
+        n_attrs, rows, rng = case
+        cols, indptr = array("q"), array("q", [0])
+        for row in rows:
+            cols.extend(row)
+            indptr.append(len(cols))
+        order = np.array(rng.sample(range(len(rows)), len(rows)))
+        dense = np.zeros((len(rows), n_attrs))
+        for i, row in enumerate(rows):
+            for a in row:
+                dense[i, a] += 1.0
+        dense = dense[order]
+        # integer-valued weights make every summation order exact
+        w = np.array([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n_attrs)], float)
+        m = np.array([[rng.randint(-9, 9) for _ in range(2)] for _ in rows], float)
+        firing = crf._Firing(cols, indptr, n_attrs, order)
+        assert firing.nnz == sum(map(len, rows))
+        assert np.array_equal(firing.scores(w), dense @ w)
+        assert np.array_equal(firing.counts(m), dense.T @ m)
+
+    def test_runtime_needs_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import gujiseg.cli, sys; assert 'scipy' not in sys.modules"
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)}
+        )
+
+
 class TestObjectiveAndGradient:
     def test_gradient_at_zero_single_position(self):
         m = make_model(attrs=("a",))
@@ -384,6 +430,22 @@ class TestObjectiveAndGradient:
         assert obj_p == pytest.approx(obj, abs=1e-9)
         assert np.allclose(grad_p.state, grad.state, rtol=0, atol=1e-9)
         assert np.allclose(grad_p.trans, grad.trans, rtol=0, atol=1e-9)
+
+    def test_accepted_probe_reused_exactly(self):
+        rng = random.Random(34)
+        m = random_model(rng)
+        dataset = []
+        for _ in range(6):
+            attrs = random_attrs(rng, m)
+            dataset.append((attrs, [rng.choice(LABELS) for _ in attrs]))
+        enc = crf._Encoded(dataset, m.attr_index, m.labels)
+        point = (m.state_weights, m.trans_weights, 2.0)
+        value, forward = enc.objective(*point)
+        obj, grad = enc.objective_and_gradient(*point)
+        obj_r, grad_r = enc.objective_and_gradient(*point, forward)
+        assert value == obj == obj_r
+        assert np.array_equal(grad_r.state, grad.state)
+        assert np.array_equal(grad_r.trans, grad.trans)
 
     def test_memory_scales_with_total_positions(self):
         # a padded [n, t_max, 2] float batch of this dataset alone would

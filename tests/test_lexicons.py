@@ -235,6 +235,11 @@ class TestPmiIO:
         assert back.total_bigrams == table.total_bigrams
         assert back.pmi == table.pmi
 
+    def test_separator_in_pair_rejected(self):
+        table = build_pmi_table(["天\t地玄"], min_count=1)
+        with pytest.raises(ValueError, match="separator"):
+            save_pmi_table(table, io.StringIO())
+
     def test_header_required(self):
         with pytest.raises(LexiconFormatError, match="#N="):
             load_pmi_table("天月\t1.5\n")
