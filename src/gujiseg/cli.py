@@ -275,35 +275,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _run_grid(args: argparse.Namespace, feature_sets: Sequence[str],
+              widths: Sequence[int]) -> int:
+    """Repeated-holdout experiments over every (feature set, k) pair; writes
+    the results CSV and its manifest."""
     started = datetime.now(timezone.utc).isoformat()
-    if args.k_min < 1 or args.k_max < args.k_min:
-        raise ConfigurationError(f"bad k range [{args.k_min}, {args.k_max}]")
     docs = read_labeled_corpus(read_text_utf8(args.corpus))
     lexicons = _load_lexicons(args)
-    feature_sets = args.features or ["c", "c,b"]
     conditions = []
     for spec_str in feature_sets:
-        for k in range(args.k_min, args.k_max + 1):
-            cfg = FeatureConfig.from_spec(spec_str, k)
-            _require_resources(cfg, lexicons, pmi_ok=True)
-            conditions.append(cfg)
-    rows = _experiment_rows(docs, conditions, _split_spec(args), _train_config(args), lexicons)
-    manifest = _write_manifest(args.output, args, [args.corpus], started)
-    _write_results_csv(args.output, rows, manifest)
-    return 0
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    docs = read_labeled_corpus(read_text_utf8(args.corpus))
-    lexicons = _load_lexicons(args)
-    if args.preset == "table1":
-        sets, widths = TABLE1_FEATURE_SETS, TABLE1_WIDTHS
-    else:
-        sets, widths = TABLE2_FEATURE_SETS, TABLE2_WIDTHS
-    conditions = []
-    for spec_str in sets:
         for k in widths:
             cfg = FeatureConfig.from_spec(spec_str, k)
             _require_resources(cfg, lexicons, pmi_ok=True)
@@ -312,6 +292,18 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     manifest = _write_manifest(args.output, args, [args.corpus], started)
     _write_results_csv(args.output, rows, manifest)
     return 0
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.k_min < 1 or args.k_max < args.k_min:
+        raise ConfigurationError(f"bad k range [{args.k_min}, {args.k_max}]")
+    return _run_grid(args, args.features or ["c", "c,b"], range(args.k_min, args.k_max + 1))
+
+
+def cmd_ablate(args: argparse.Namespace) -> int:
+    if args.preset == "table1":
+        return _run_grid(args, TABLE1_FEATURE_SETS, TABLE1_WIDTHS)
+    return _run_grid(args, TABLE2_FEATURE_SETS, TABLE2_WIDTHS)
 
 
 def cmd_pmi_build(args: argparse.Namespace) -> int:

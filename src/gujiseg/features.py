@@ -2,19 +2,26 @@
 categorical attribute strings.
 
 Canonical attribute order: character unigrams by ascending offset, character
-bigrams by ascending offset, pronunciation classes, entity tag, PMI bins.
-Attribute strings are the wire-level identity; downstream layers treat them
-as opaque symbols.
+bigrams by ascending offset, pronunciation classes (by ascending offset, each
+character's classes in dictionary order), entity tag, PMI bins (left pair,
+then right pair). Attribute strings are the wire-level identity; downstream
+layers treat them as opaque symbols, and the model's attribute index is built
+in first-seen order, so this order decides the model bytes.
+
+`featurize_chars` is the one place that builds attributes. It works template
+by template over the whole sequence and checks the resources it needs once
+per sequence; `extract_features` slices one position out of its result, so
+it costs O(len(seq)).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lexicons import (
-    EntityTag,
+    PMI_NA,
     LexiconSet,
     RHYME_SOURCES,
     pmi_bin,
@@ -99,65 +106,17 @@ class Instance:
     attributes: tuple[str, ...]
 
 
-def _char_at(seq: Sequence[str], i: int) -> str:
-    if i < 0:
-        return BOS
-    if i >= len(seq):
-        return EOS
-    return seq[i]
-
-
-def _features_at(
-    seq: Sequence[str],
-    pos: int,
-    cfg: FeatureConfig,
-    lex: LexiconSet,
-    tags: Optional[Sequence[EntityTag]],
-) -> list[str]:
-    k = cfg.k
-    attrs = [f"w[{i}]={_char_at(seq, pos + i)}" for i in range(-k, k + 1)]
-    if cfg.use_bigrams:
-        for i in range(-k, k):
-            attrs.append(f"w[{i}_{i + 1}]={_char_at(seq, pos + i)}{_char_at(seq, pos + i + 1)}")
-    if cfg.pronunciation is not None:
-        rhymes = lex.rhyme_dict(cfg.pronunciation)
-        for i in range(-k, k + 1):
-            for cls in rhymes.classes(_char_at(seq, pos + i)):
-                attrs.append(f"ry[{i}]={cls}")
-    if cfg.use_words:
-        if tags is None:
-            if lex.entities is None:
-                raise ValueError("word features requested but no entity lexicon loaded")
-            tags = tag_entities(seq, lex.entities)
-        tag = tags[pos]
-        if tag is not None:
-            attrs.append(f"ne[0]={tag}")
-    if cfg.use_pmi:
-        if lex.pmi is None:
-            raise ValueError("PMI features requested but no PMI table loaded")
-        table = lex.pmi
-        left = table.value(seq[pos - 1], seq[pos]) if pos > 0 else None
-        right = table.value(seq[pos], seq[pos + 1]) if pos + 1 < len(seq) else None
-        attrs.append(f"pmi[-1_0]={pmi_bin(left)}")
-        attrs.append(f"pmi[0_1]={pmi_bin(right)}")
-    return attrs
-
-
 def extract_features(
     seq: Sequence[str],
     pos: int,
     cfg: FeatureConfig,
     lex: LexiconSet = LexiconSet(),
 ) -> list[str]:
-    """Attribute strings for one position, in canonical template order."""
+    """Attribute strings for one position, in canonical template order. The
+    whole sequence is featurized, so one call costs O(len(seq))."""
     if not 0 <= pos < len(seq):
         raise IndexError(f"position {pos} out of range for sequence of length {len(seq)}")
-    tags = None
-    if cfg.use_words:
-        if lex.entities is None:
-            raise ValueError("word features requested but no entity lexicon loaded")
-        tags = tag_entities(seq, lex.entities)
-    return _features_at(seq, pos, cfg, lex, tags)
+    return featurize_chars(seq, cfg, lex)[pos]
 
 
 def featurize_chars(
@@ -165,14 +124,34 @@ def featurize_chars(
     cfg: FeatureConfig,
     lex: LexiconSet = LexiconSet(),
 ) -> list[list[str]]:
-    """Attribute lists for every position of one sequence. Entity tags are
-    computed once per sequence, not once per position."""
-    tags = None
+    """Attribute lists for every position of one sequence."""
+    if cfg.use_words and lex.entities is None:
+        raise ValueError("word features requested but no entity lexicon loaded")
+    rhymes = lex.rhyme_dict(cfg.pronunciation) if cfg.pronunciation is not None else None
+    if cfg.use_pmi and lex.pmi is None:
+        raise ValueError("PMI features requested but no PMI table loaded")
+    k, n = cfg.k, len(chars)
+    padded = [BOS] * k + list(chars) + [EOS] * k
+    # window[k + i][pos] == padded[pos + k + i] is the character at offset i from pos
+    window = [padded[j : j + n] for j in range(2 * k + 1)]
+    columns = [[f"w[{i}]={c}" for c in window[k + i]] for i in range(-k, k + 1)]
+    if cfg.use_bigrams:
+        columns += [[f"w[{i}_{i + 1}]={a}{b}" for a, b in zip(window[k + i], window[k + i + 1])]
+                    for i in range(-k, k)]
+    rows = [list(row) for row in zip(*columns)]
+    if rhymes is not None:
+        classes = [rhymes.classes(c) for c in padded]
+        for pos, row in enumerate(rows):
+            row += [f"ry[{i}]={cls}" for i in range(-k, k + 1) for cls in classes[pos + k + i]]
     if cfg.use_words:
-        if lex.entities is None:
-            raise ValueError("word features requested but no entity lexicon loaded")
-        tags = tag_entities(chars, lex.entities)
-    return [_features_at(chars, pos, cfg, lex, tags) for pos in range(len(chars))]
+        for row, tag in zip(rows, tag_entities(chars, lex.entities)):
+            if tag is not None:
+                row.append(f"ne[0]={tag}")
+    if cfg.use_pmi:
+        bins = [pmi_bin(lex.pmi.value(a, b)) for a, b in zip(chars, chars[1:])]
+        for row, left, right in zip(rows, [PMI_NA] + bins, bins + [PMI_NA]):
+            row += (f"pmi[-1_0]={left}", f"pmi[0_1]={right}")
+    return rows
 
 
 def extract_instances(seq, cfg: FeatureConfig, lex: LexiconSet = LexiconSet()) -> list[Instance]:

@@ -11,7 +11,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +56,6 @@ class EntityLexicon:
 class PmiTable:
     total_bigrams: int
     pmi: dict[tuple[str, str], float]
-    min_count: int
 
     def value(self, a: str, b: str) -> float | None:
         return self.pmi.get((a, b))
@@ -192,7 +191,7 @@ def build_pmi_table(train, min_count: int = 5) -> PmiTable:
         for pair, count in joint.items()
         if count >= min_count
     }
-    return PmiTable(total, pmi, min_count)
+    return PmiTable(total, pmi)
 
 
 _PMI_BIN_EDGES = (0.0, 2.0, 4.0, 6.0)
@@ -219,9 +218,8 @@ def save_pmi_table(table: PmiTable, sink: TextIO) -> None:
         sink.write(f"{pair}\t{value:.17g}\n")
 
 
-def load_pmi_table(source: str | TextIO, min_count: int = 1) -> PmiTable:
-    """Read a PMI TSV back. The file does not record the threshold it was
-    built with, so min_count defaults to 1 (every stored pair is kept)."""
+def load_pmi_table(source: str | TextIO) -> PmiTable:
+    """Read a PMI TSV back; every stored pair is kept."""
     text = source if isinstance(source, str) else source.read()
     lines = text.split("\n")
     if not lines[0].startswith("#N="):
@@ -244,4 +242,4 @@ def load_pmi_table(source: str | TextIO, min_count: int = 1) -> PmiTable:
                 f"PMI table line {lineno}: bad value {fields[1]!r}"
             )
         pmi[(fields[0][0], fields[0][1])] = value
-    return PmiTable(total, pmi, min_count)
+    return PmiTable(total, pmi)

@@ -113,3 +113,54 @@ def brute_tag_entities(chars, lexicon):
             tags[i : i + length] = span
         i += length
     return tags
+
+
+def _pmi_bin_label(value):
+    if value is None:
+        return "PMI_NA"
+    if value < 0.0:
+        return "PMI<0"
+    if value < 2.0:
+        return "PMI0-2"
+    if value < 4.0:
+        return "PMI2-4"
+    if value < 6.0:
+        return "PMI4-6"
+    return "PMI>=6"
+
+
+def brute_features(chars, pos, cfg, lex):
+    """Attributes of one position, written out template by template in the
+    canonical order of the features module docstring: unigrams, bigrams,
+    rhyme classes, entity tag, PMI bins."""
+    n = len(chars)
+
+    def char(j):
+        if j < 0:
+            return "<BOS>"
+        if j >= n:
+            return "<EOS>"
+        return chars[j]
+
+    k = cfg.k
+    attrs = []
+    for i in range(-k, k + 1):
+        attrs.append(f"w[{i}]={char(pos + i)}")
+    if cfg.use_bigrams:
+        for i in range(-k, k):
+            attrs.append(f"w[{i}_{i + 1}]={char(pos + i)}{char(pos + i + 1)}")
+    if cfg.pronunciation is not None:
+        entries = lex.rhyme_dicts[cfg.pronunciation].entries
+        for i in range(-k, k + 1):
+            for cls in entries.get(char(pos + i), ()):
+                attrs.append(f"ry[{i}]={cls}")
+    if cfg.use_words:
+        tag = brute_tag_entities(chars, lex.entities)[pos]
+        if tag is not None:
+            attrs.append(f"ne[0]={tag}")
+    if cfg.use_pmi:
+        left = lex.pmi.pmi.get((chars[pos - 1], chars[pos])) if pos > 0 else None
+        right = lex.pmi.pmi.get((chars[pos], chars[pos + 1])) if pos + 1 < n else None
+        attrs.append(f"pmi[-1_0]={_pmi_bin_label(left)}")
+        attrs.append(f"pmi[0_1]={_pmi_bin_label(right)}")
+    return attrs

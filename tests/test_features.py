@@ -20,9 +20,11 @@ from gujiseg.lexicons import (
     EntityLexicon,
     LexiconSet,
     PmiTable,
+    RhymeDictionary,
     build_pmi_table,
     load_rhyme_dict,
 )
+from oracles import brute_features
 
 SENT = labelize(Document("x", "孝敬天啟，動必以禮。"))
 
@@ -198,13 +200,13 @@ class TestPmiFeatures:
         assert "pmi[0_1]=PMI_NA" in last
 
     def test_na_for_unseen_pair(self):
-        lex = LexiconSet(pmi=PmiTable(100, {}, 5))
+        lex = LexiconSet(pmi=PmiTable(100, {}))
         cfg = FeatureConfig(k=0, use_pmi=True)
         got = extract_features(SENT.chars, 2, cfg, lex)
         assert got == ["w[0]=天", "pmi[-1_0]=PMI_NA", "pmi[0_1]=PMI_NA"]
 
     def test_known_pair_binned(self):
-        lex = LexiconSet(pmi=PmiTable(100, {("天", "啟"): 4.5}, 5))
+        lex = LexiconSet(pmi=PmiTable(100, {("天", "啟"): 4.5}))
         cfg = FeatureConfig(k=0, use_pmi=True)
         got = extract_features(SENT.chars, 2, cfg, lex)
         assert "pmi[0_1]=PMI4-6" in got
@@ -222,11 +224,50 @@ class TestExtraction:
         assert [i.label for i in insts] == list(SENT.labels)
         assert insts[3] == Instance("M", ("w[-1]=天", "w[0]=啟", "w[1]=動"))
 
-    def test_featurize_matches_pointwise(self):
-        cfg = FeatureConfig(k=2, use_bigrams=True)
-        feats = featurize_chars(SENT.chars, cfg)
-        for pos in range(len(SENT)):
-            assert feats[pos] == extract_features(SENT.chars, pos, cfg)
+    ALPHABET = "天地玄黃宇宙洪荒"
+    ORACLE_LEX = LexiconSet(
+        rhyme_dicts={
+            GUANGYUN: RhymeDictionary(
+                GUANGYUN,
+                {"天": ("先", "霰"), "地": ("至",), "黃": ("唐", "宕", "蕩"), "C1": ("東",)},
+            ),
+            PINGSHUIYUN: RhymeDictionary(PINGSHUIYUN, {"天": ("先",), "宙": ("宥", "尤")}),
+        },
+        # brute_tag_entities measures words in characters: no entry spans a "C1"/"C2" token
+        entities=EntityLexicon(
+            {"天地": "PLACE", "玄黃宇": "OFFICE", "洪": "REIGN", "地玄": "REIGN"}
+        ),
+        # values on and around the bin edges 0, 2, 4, 6
+        pmi=PmiTable(
+            100,
+            {
+                ("天", "地"): -0.5, ("地", "玄"): 0.0, ("玄", "黃"): 2.0, ("黃", "宇"): 3.99,
+                ("宇", "宙"): 4.0, ("宙", "洪"): 6.0, ("洪", "荒"): 9.5, ("天", "天"): 1.0,
+                ("C1", "C2"): 5.0, ("C2", "天"): -3.0,
+            },
+        ),
+    )
+
+    @given(
+        chars=st.one_of(
+            st.text(alphabet=ALPHABET, min_size=1, max_size=12),
+            st.lists(st.sampled_from(list(ALPHABET) + ["C1", "C2"]), min_size=1, max_size=12),
+        ),
+        k=st.integers(min_value=0, max_value=3),
+        use_bigrams=st.booleans(),
+        pronunciation=st.sampled_from([None, GUANGYUN, PINGSHUIYUN]),
+        use_words=st.booleans(),
+        use_pmi=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_featurize_matches_pointwise(
+        self, chars, k, use_bigrams, pronunciation, use_words, use_pmi
+    ):
+        cfg = FeatureConfig(k, use_bigrams, pronunciation, use_words, use_pmi)
+        feats = featurize_chars(chars, cfg, self.ORACLE_LEX)
+        assert len(feats) == len(chars)
+        for pos in range(len(chars)):
+            assert feats[pos] == brute_features(chars, pos, cfg, self.ORACLE_LEX)
 
     def test_deterministic(self):
         cfg = FeatureConfig(k=2, use_bigrams=True)
