@@ -2,7 +2,7 @@
 
 Data goes to stdout or to files; progress and warnings go to stderr. Every
 file-producing command drops a JSON manifest next to its output recording
-the command, flags, input digests, and seed, so results stay traceable.
+the command, flags, input digests, and split seed, so results stay traceable.
 
 Exit codes: 0 success, 1 experiment-level failure, 2 usage/I-O error.
 """
@@ -26,12 +26,14 @@ from .corpus import (
     CorpusFormatError,
     Document,
     EmptySequenceError,
+    LabeledSequence,
     corpus_stats,
     filter_short,
     labelize,
     parse_corpus,
     read_labeled_corpus,
     read_text_utf8,
+    reinsert_marks,
     write_labeled_corpus,
 )
 from .crf import TrainConfig, TrainingError, load_model, save_model, train
@@ -103,9 +105,11 @@ def _write_results_csv(out_path: str, rows: Iterable[Sequence[str]], manifest_na
         writer.writerows(rows)
 
 
-def _load_lexicons(args: argparse.Namespace) -> LexiconSet:
+def _load_lexicons(args: argparse.Namespace) -> tuple[LexiconSet, list[str]]:
+    """The resources the lexicon flags name, and the paths read from."""
     rhyme_dicts = {}
-    for item in getattr(args, "rhyme_dict", None) or []:
+    paths = []
+    for item in args.rhyme_dict or []:
         source, sep, path = item.partition("=")
         if not sep or not path:
             raise ConfigurationError(
@@ -113,13 +117,16 @@ def _load_lexicons(args: argparse.Namespace) -> LexiconSet:
             )
         source = source.lower()
         rhyme_dicts[source] = load_rhyme_dict(read_text_utf8(path), source)
+        paths.append(path)
     entities = None
-    if getattr(args, "lexicon", None):
+    if args.lexicon:
         entities = load_entity_lexicon(read_text_utf8(args.lexicon))
+        paths.append(args.lexicon)
     pmi = None
-    if getattr(args, "pmi_table", None):
+    if args.pmi_table:
         pmi = load_pmi_table(read_text_utf8(args.pmi_table))
-    return LexiconSet(rhyme_dicts, entities, pmi)
+        paths.append(args.pmi_table)
+    return LexiconSet(rhyme_dicts, entities, pmi), paths
 
 
 def _require_resources(cfg: FeatureConfig, lexicons: LexiconSet, pmi_ok: bool = False) -> None:
@@ -139,7 +146,7 @@ def _split_spec(args: argparse.Namespace) -> SplitSpec:
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(args.sigma, args.max_iterations, args.tolerance, args.seed)
+    return TrainConfig(args.sigma, args.max_iterations, args.tolerance)
 
 
 def _experiment_rows(docs, conditions, split_spec, train_cfg, lexicons) -> list[list[str]]:
@@ -196,11 +203,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not docs:
         raise ConfigurationError(f"no sequences in {args.corpus}")
     cfg = FeatureConfig.from_spec(args.features, args.k)
-    lexicons = _load_lexicons(args)
+    lexicons, lexicon_paths = _load_lexicons(args)
     _require_resources(cfg, lexicons, pmi_ok=True)
-    inputs = [args.corpus]
-    inputs += [item.partition("=")[2] for item in args.rhyme_dict or []]
-    inputs += [p for p in (args.lexicon, args.pmi_table) if p]
     if cfg.use_pmi and lexicons.pmi is None:
         table = build_pmi_table(docs, args.min_count)
         side = str(args.output) + ".pmi.tsv"
@@ -212,7 +216,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = train(dataset, _train_config(args), cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
         save_model(model, fh)
-    _write_manifest(args.output, args, inputs, started)
+    _write_manifest(args.output, args, [args.corpus, *lexicon_paths], started)
     meta = model.meta
     logger.info("trained on %d sequences: %d iterations, objective %.6f, stopped by %s",
                 len(docs), meta.iterations, meta.final_objective, meta.stopped_by)
@@ -221,7 +225,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_punctuate(args: argparse.Namespace) -> int:
     model = load_model(read_text_utf8(args.model))
-    lexicons = _load_lexicons(args)
+    lexicons, _ = _load_lexicons(args)
     _require_resources(model.config, lexicons)
     stripped: list[str] = []
     boundary_found = 0
@@ -234,18 +238,11 @@ def cmd_punctuate(args: argparse.Namespace) -> int:
     if boundary_found:
         logger.warning("input already contains %d boundary marks; stripped before decoding",
                        boundary_found)
-    nonempty = [s for s in stripped if s]
-    preds = predict_labels(model, nonempty, lexicons)
-    by_line = iter(preds)
-    out_lines = []
-    for s in stripped:
-        if not s:
-            out_lines.append("")
-            continue
-        labels = next(by_line)
-        out_lines.append("".join(
-            c + args.mark if l == "M" else c for c, l in zip(s, labels)
-        ))
+    by_line = iter(predict_labels(model, [s for s in stripped if s], lexicons))
+    out_lines = [
+        reinsert_marks(LabeledSequence("", s, "".join(next(by_line))), args.mark) if s else ""
+        for s in stripped
+    ]
     output = "\n".join(out_lines)
     if output:
         output += "\n"
@@ -258,7 +255,7 @@ def cmd_punctuate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(read_text_utf8(args.model))
-    lexicons = _load_lexicons(args)
+    lexicons, _ = _load_lexicons(args)
     _require_resources(model.config, lexicons)
     docs = read_labeled_corpus(read_text_utf8(args.corpus))
     if not docs:
@@ -281,7 +278,7 @@ def _run_grid(args: argparse.Namespace, feature_sets: Sequence[str],
     the results CSV and its manifest."""
     started = datetime.now(timezone.utc).isoformat()
     docs = read_labeled_corpus(read_text_utf8(args.corpus))
-    lexicons = _load_lexicons(args)
+    lexicons, lexicon_paths = _load_lexicons(args)
     conditions = []
     for spec_str in feature_sets:
         for k in widths:
@@ -289,7 +286,7 @@ def _run_grid(args: argparse.Namespace, feature_sets: Sequence[str],
             _require_resources(cfg, lexicons, pmi_ok=True)
             conditions.append(cfg)
     rows = _experiment_rows(docs, conditions, _split_spec(args), _train_config(args), lexicons)
-    manifest = _write_manifest(args.output, args, [args.corpus], started)
+    manifest = _write_manifest(args.output, args, [args.corpus, *lexicon_paths], started)
     _write_results_csv(args.output, rows, manifest)
     return 0
 
@@ -364,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="c,b", help="feature set, e.g. c,b,ry:guangyun,w,pmi")
     p.add_argument("--k", type=int, default=2, help="context window radius")
     p.add_argument("--min-count", type=int, default=5, help="PMI joint-count threshold")
-    p.add_argument("--seed", type=int, default=42)
     _add_train_flags(p)
     _add_lexicon_flags(p)
     p.set_defaults(func=cmd_train)

@@ -46,10 +46,11 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Trainer settings (no seed: training draws no random numbers)."""
+
     l2_sigma: float = 1.0
     max_iterations: int = 200
     tolerance: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.l2_sigma <= 0:
@@ -64,7 +65,6 @@ class TrainConfig:
 class TrainMeta:
     iterations: int
     final_objective: float
-    seed: int
     stopped_by: str
     objective_history: list[float] = field(default_factory=list, repr=False)
 
@@ -453,8 +453,8 @@ def train(
 ) -> CrfModel:
     """Fit a model by full-batch gradient ascent with Armijo backtracking.
 
-    Deterministic given (dataset, config): weights start at zero and every
-    step is full-batch, so the seed is recorded for provenance only.
+    Deterministic given (dataset, config): weights start at zero, every
+    step is full-batch and no random number is drawn.
     Stops on relative objective change below config.tolerance or after
     config.max_iterations accepted steps, whichever is first, or when the
     line search finds no acceptable step; meta.stopped_by names the rule.
@@ -516,7 +516,7 @@ def train(
         if relative < config.tolerance:
             stopped_by = "converged"
             break
-    meta = TrainMeta(iterations, objective, config.seed, stopped_by, history)
+    meta = TrainMeta(iterations, objective, stopped_by, history)
     return CrfModel(
         tuple(labels),
         attr_index,
@@ -537,7 +537,7 @@ def save_model(model: CrfModel, sink: TextIO) -> None:
         m = model.meta
         sink.write(
             f"meta\titerations={m.iterations}\tfinal_objective={m.final_objective:.17g}"
-            f"\tseed={m.seed}\tstopped_by={m.stopped_by}\n"
+            f"\tstopped_by={m.stopped_by}\n"
         )
     attrs = sorted(model.attr_index.items(), key=lambda kv: kv[1])
     sink.write(f"attrs\t{len(attrs)}\n")
@@ -598,7 +598,6 @@ def load_model(source: str | TextIO) -> CrfModel:
             meta = TrainMeta(
                 int(pairs["iterations"]),
                 float(pairs["final_objective"]),
-                int(pairs["seed"]),
                 pairs["stopped_by"],
             )
         except (KeyError, ValueError):

@@ -11,6 +11,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, TextIO
 
 logger = logging.getLogger(__name__)
@@ -47,8 +48,9 @@ class RhymeDictionary:
 class EntityLexicon:
     entries: dict[str, str]
 
-    @property
+    @cached_property
     def max_word_length(self) -> int:
+        """Longest entry in characters, which bounds its length in tokens."""
         return max((len(w) for w in self.entries), default=0)
 
 
@@ -212,6 +214,8 @@ def pmi_bin(value: float | None) -> str:
 def save_pmi_table(table: PmiTable, sink: TextIO) -> None:
     sink.write(f"#N={table.total_bigrams}\n")
     for (a, b), value in sorted(table.pmi.items()):
+        if len(a) != 1 or len(b) != 1:
+            raise ValueError(f"PMI pair {(a, b)!r} is not two single characters")
         pair = a + b
         if "\t" in pair or "\n" in pair:
             raise ValueError(f"PMI pair {pair!r} contains a separator")

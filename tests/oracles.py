@@ -91,15 +91,17 @@ def fd_gradient(objective, perturb, h=1e-5):
 
 
 def brute_tag_entities(chars, lexicon):
-    """Greedy longest-match by literal re-scan of every candidate word."""
+    """Greedy longest-match by literal re-scan of every candidate word. Span
+    lengths count tokens, and a token may be several characters."""
     n = len(chars)
     tags = [None] * n
     i = 0
     while i < n:
         candidates = [
-            (len(w), w)
+            (length, w)
             for w in lexicon.entries
-            if "".join(chars[i : i + len(w)]) == w
+            for length in range(1, n - i + 1)
+            if "".join(chars[i : i + length]) == w
         ]
         if not candidates:
             i += 1

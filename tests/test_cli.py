@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import math
+import re
 
 import pytest
 
@@ -32,6 +33,15 @@ def read_results(path):
                 rows.append(line)
     parsed = list(csv.reader(io.StringIO("".join(rows))))
     return comments, parsed[0], parsed[1:]
+
+
+def manifest_inputs(out_path):
+    """The manifest's input digests, checked to be SHA-256 hex strings."""
+    with open(f"{out_path}.manifest.json", encoding="utf-8") as fh:
+        inputs = json.load(fh)["inputs"]
+    for digest in inputs.values():
+        assert re.fullmatch("[0-9a-f]{64}", digest)
+    return inputs
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +184,7 @@ class TestTrainPunctuateEvaluate:
         assert manifest["command"] == "train"
         assert manifest["config"]["features"] == "c"
         assert manifest["version"]
+        assert manifest["seed"] is None
 
     def test_train_empty_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "empty.tsv"
@@ -240,6 +251,14 @@ class TestSweep:
         f1 = {r[1]: float(r[5]) for r in rows if r[0] == "mean"}
         assert f1["2"] > f1["1"] + 0.05
 
+    def test_manifest_records_lexicon(self, tmp_path):
+        docs = learnability_corpus(n_docs=40, seed=19)
+        lexicon = tmp_path / "words.tsv"
+        lexicon.write_text(f"{FILLER[0]}{FILLER[1]}\tPLACE\n", encoding="utf-8")
+        out = self.run_sweep(tmp_path, docs,
+                             extra=("--lexicon", str(lexicon), "--features", "c,b,w"))
+        assert set(manifest_inputs(out)) == {str(tmp_path / "corpus.tsv"), str(lexicon)}
+
     def test_bad_k_range(self, tmp_path, capsys):
         docs = learnability_corpus(n_docs=10, seed=13)
         corpus = write_labeled(tmp_path / "corpus.tsv", docs)
@@ -277,10 +296,10 @@ class TestAblate:
         docs = learnability_corpus(n_docs=30, seed=16)
         corpus = write_labeled(tmp_path / "c.tsv", docs)
         out = tmp_path / "r.csv"
+        gy, psy = self.rhyme_file(tmp_path, "gy"), self.rhyme_file(tmp_path, "psy")
         rc = main([
             "ablate", corpus, "-o", str(out), "--preset", "table1",
-            "--rhyme-dict", f"guangyun={self.rhyme_file(tmp_path, 'gy')}",
-            "--rhyme-dict", f"pingshuiyun={self.rhyme_file(tmp_path, 'psy')}",
+            "--rhyme-dict", f"guangyun={gy}", "--rhyme-dict", f"pingshuiyun={psy}",
             "--trials", "1", "--max-iterations", "2",
         ])
         assert rc == 0
@@ -289,6 +308,7 @@ class TestAblate:
         assert len(rows) == 4 * 2 * 2
         assert {r[2] for r in rows} == {"c", "c,b", "c,b,ry:guangyun",
                                         "c,b,ry:pingshuiyun"}
+        assert set(manifest_inputs(out)) == {corpus, gy, psy}
 
     def test_table2_grid(self, tmp_path):
         docs = learnability_corpus(n_docs=30, seed=17)
@@ -332,6 +352,13 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "gujiseg" in capsys.readouterr().out
+
+    def test_train_has_no_seed(self, tmp_path):
+        # training is deterministic; only sweep and ablate take a split seed
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(tmp_path / "c.tsv"), "-o", str(tmp_path / "m.txt"),
+                  "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

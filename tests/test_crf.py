@@ -590,6 +590,25 @@ class TestModelIO:
         assert back.meta.iterations == model.meta.iterations
         assert back.meta.final_objective == pytest.approx(model.meta.final_objective)
         assert back.config == model.config
+        assert "seed=" not in sink.getvalue()
+
+    def test_meta_line_with_seed_loads(self):
+        # files written while the trainer recorded a seed carry it in the meta line
+        rng = random.Random(33)
+        data = rule_dataset(rng, 10)
+        model = train(data, TrainConfig(max_iterations=3))
+        sink = io.StringIO()
+        save_model(model, sink)
+        m = model.meta
+        current = (f"meta\titerations={m.iterations}"
+                   f"\tfinal_objective={m.final_objective:.17g}\tstopped_by={m.stopped_by}\n")
+        older = current.replace("\tstopped_by=", "\tseed=42\tstopped_by=")
+        assert current in sink.getvalue()
+        back = load_model(sink.getvalue().replace(current, older))
+        assert back.meta == load_model(sink.getvalue()).meta
+        assert back.meta.final_objective == m.final_objective
+        for attrs, _ in data:
+            assert viterbi(back, attrs) == viterbi(model, attrs)
 
     def test_empty_model_is_valid(self):
         m = make_model(attrs=())

@@ -233,9 +233,11 @@ class TestExtraction:
             ),
             PINGSHUIYUN: RhymeDictionary(PINGSHUIYUN, {"天": ("先",), "宙": ("宥", "尤")}),
         },
-        # brute_tag_entities measures words in characters: no entry spans a "C1"/"C2" token
         entities=EntityLexicon(
-            {"天地": "PLACE", "玄黃宇": "OFFICE", "洪": "REIGN", "地玄": "REIGN"}
+            {
+                "天地": "PLACE", "玄黃宇": "OFFICE", "洪": "REIGN", "地玄": "REIGN",
+                "C1C2": "OFFICE", "C2天": "PLACE",
+            }
         ),
         # values on and around the bin edges 0, 2, 4, 6
         pmi=PmiTable(

@@ -76,6 +76,11 @@ class TestTagEntities:
         lex = EntityLexicon({"貞觀": "REIGN"})
         assert tag_entities("貞觀元年", lex) == ["REIGN-B", "REIGN-E", None, None]
 
+    def test_span_counts_tokens(self):
+        # a 4-character entry spans 2 tokens: no entry is 2 characters long
+        lex = EntityLexicon({"C1C2": "OFFICE"})
+        assert tag_entities(["C1", "C2", "天"], lex) == ["OFFICE-B", "OFFICE-E", None]
+
     def test_longest_match_wins(self):
         lex = EntityLexicon({"長安": "PLACE", "長安令": "OFFICE"})
         assert tag_entities("長安令曰", lex) == [
@@ -99,7 +104,9 @@ class TestTagEntities:
 
     def test_matches_brute_force(self):
         rng = random.Random(5)
-        pool = "天地玄黃宇宙洪荒日月"
+        # tokens may be several characters, so word lengths in tokens and in
+        # characters differ
+        pool = list("天地玄黃宇宙洪荒日月") + ["C1", "C2"]
         types = ("REIGN", "PLACE", "OFFICE")
         for _ in range(60):
             words = {}
@@ -107,7 +114,7 @@ class TestTagEntities:
                 w = "".join(rng.choice(pool) for _ in range(rng.randint(1, 3)))
                 words.setdefault(w, rng.choice(types))
             lex = EntityLexicon(words)
-            chars = "".join(rng.choice(pool) for _ in range(rng.randint(0, 15)))
+            chars = [rng.choice(pool) for _ in range(rng.randint(0, 15))]
             assert tag_entities(chars, lex) == brute_tag_entities(chars, lex)
 
     def test_spans_well_formed(self):
@@ -234,6 +241,11 @@ class TestPmiIO:
         back = load_pmi_table(sink.getvalue())
         assert back.total_bigrams == table.total_bigrams
         assert back.pmi == table.pmi
+
+    def test_multi_character_token_rejected(self):
+        table = build_pmi_table([["C1", "C2", "C1", "C2"]], min_count=1)
+        with pytest.raises(ValueError, match="single characters"):
+            save_pmi_table(table, io.StringIO())
 
     def test_separator_in_pair_rejected(self):
         table = build_pmi_table(["天\t地玄"], min_count=1)
