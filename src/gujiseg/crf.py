@@ -1,8 +1,7 @@
 """Linear-chain CRF over the label set {O, M}.
 
 State features are (attribute, label) indicators; transition features are
-label-pair indicators. All inference runs in log space (sequences run to
-hundreds of positions, probability-domain scaling would underflow).
+label-pair indicators. All inference runs in log space.
 
 Training, decoding and marginals all run over one packed time-major
 layout: sequences are sorted longest first, so position t of the k[t]
@@ -11,9 +10,12 @@ the same sequence order at every t. Each step is one slice and one
 reduction, with no padding and no masks; a lone sequence is the case
 k[t] = 1. The backward recursion is shared: reduced with log-sum-exp it
 gives the backward scores of forward-backward, reduced with max the best
-suffix scores of Viterbi. Emissions always come from one attribute-firing
-operator (_Firing): the 0/1 matrix F of which attributes fire at which row,
-built from CSR arrays and offering F @ w and F.T @ m in numpy alone.
+suffix scores of Viterbi. Emissions of attribute lists come from one
+attribute-firing operator (_Firing): the 0/1 matrix F of which attributes
+fire at which row, built from CSR arrays and offering F @ w and F.T @ m in
+numpy alone. Decoding raw text skips the lists: column_scores adds the
+weights of integer-coded attribute columns (features.feature_columns) and
+gives the same emissions bit for bit; viterbi_emissions decodes either.
 
 Training is full-batch gradient ascent on the L2-penalized log-likelihood
 with a backtracking (Armijo) line search: deterministic, monotone, and easy
@@ -206,11 +208,34 @@ class _Firing:
 
 
 def _state_scores(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray:
-    """Emissions [T, L] of one sequence: its firing matrix times the state
-    weights."""
+    """Emissions [T, L] of one sequence given as attribute lists: its firing
+    matrix times the state weights. Each row sums the weights of its known
+    attributes in list order, starting from zero; column_scores sums the
+    same terms in the same order."""
     cols, indptr = array("q"), array("q", [0])
     _fire(attrs, model.attr_index, cols, indptr)
     return _Firing(cols, indptr, len(model.attr_index)).scores(model.state_weights)
+
+
+def column_scores(
+    model: CrfModel, columns: Iterable[tuple[Sequence[str], np.ndarray]], total: int
+) -> np.ndarray:
+    """Emissions [total, L] of a batch given as attribute columns
+    (features.feature_columns): each column's names are looked up in the
+    model once, and every row adds the state weights of its code's name.
+    Unknown names and code -1 add a zero row, which leaves a sum exactly as
+    it was, so each row equals _state_scores of its attribute list bit for
+    bit when the columns come in canonical order."""
+    n_attrs, n_labels = model.state_weights.shape
+    weights = np.vstack([model.state_weights, np.zeros((1, n_labels))])
+    emis = np.zeros((total, n_labels))
+    for names, codes in columns:
+        rows = np.fromiter(
+            (model.attr_index.get(name, n_attrs) for name in names), np.intp, len(names)
+        )
+        # code -1 takes the last entry, the zero row
+        emis += weights[np.append(rows, n_attrs)[codes]]
+    return emis
 
 
 def score_sequence(
@@ -269,27 +294,41 @@ def viterbi(
 def viterbi_batch(
     model: CrfModel, attr_seqs: Iterable[Sequence[Sequence[str]]]
 ) -> list[tuple[list[str], float]]:
-    """viterbi() of every sequence, decoded together in one packed pass.
+    """viterbi() of every sequence given as attribute lists, decoded
+    together by viterbi_emissions.
 
     Each sequence is reduced to its emissions as soon as it is drawn from
     `attr_seqs`, so its attribute lists can be dropped before the next one
     is featurized.
     """
-    emis_seqs = []
-    for attrs in attr_seqs:
-        if not attrs:
-            raise ValueError("empty sequence")
-        emis_seqs.append(_state_scores(model, attrs))
-    if not emis_seqs:
-        return []
-    lengths = np.array([len(e) for e in emis_seqs])
-    k, off, order = _packed_order(lengths)
-    emis = np.concatenate(emis_seqs)[order]
+    emis_seqs = [_state_scores(model, attrs) for attrs in attr_seqs]
+    lengths = np.array([len(e) for e in emis_seqs], dtype=np.int64)
+    emis = np.concatenate(emis_seqs) if emis_seqs else np.zeros((0, len(model.labels)))
     del emis_seqs
+    return viterbi_emissions(model, emis, lengths)
+
+
+def viterbi_emissions(
+    model: CrfModel, emis: np.ndarray, lengths: np.ndarray
+) -> list[tuple[list[str], float]]:
+    """viterbi() of every sequence given its emissions, decoded together in
+    one packed pass: `emis` [total, L] holds the sequences' rows end to end
+    and `lengths` their lengths.
+
+    Best suffix scores come from the shared backward recursion, then one
+    first-argmax forward pass runs over the k[t] running rows at each step.
+    """
+    if np.any(lengths == 0):
+        raise ValueError("empty sequence")
+    if not len(lengths):
+        return []
+    k, off, order = _packed_order(lengths)
+    emis = emis[order]
     trans = model.trans_weights
     suffix = emis + _backward(emis, trans, k, off, np.maximum)
+    del emis
     n, steps, starts = len(lengths), k.tolist(), off.tolist()
-    path = np.empty(len(emis), dtype=np.int64)
+    path = np.empty(len(suffix), dtype=np.int64)
     path[:n] = np.argmax(suffix[:n], axis=1)
     for t in range(1, len(steps)):
         prev = path[starts[t - 1] : starts[t - 1] + steps[t]]

@@ -10,9 +10,11 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import crf
 from .corpus import LabeledSequence, M
-from .features import FeatureConfig, featurize_chars
+from .features import FeatureConfig, feature_columns, featurize_chars
 from .lexicons import LexiconSet, build_pmi_table
 
 logger = logging.getLogger(__name__)
@@ -144,10 +146,13 @@ def predict_labels(
     char_seqs: Sequence[Sequence[str]],
     lexicons: LexiconSet = LexiconSet(),
 ) -> list[list[str]]:
-    """Viterbi-decode every sequence, all of them in one packed batch."""
-    cfg = model.config
-    attr_seqs = (featurize_chars(chars, cfg, lexicons) for chars in char_seqs)
-    return [labels for labels, _ in crf.viterbi_batch(model, attr_seqs)]
+    """Viterbi-decode every sequence, all of them in one packed batch. The
+    batch is featurized as integer-coded columns, so each distinct
+    attribute is rendered and looked up in the model once."""
+    lengths = np.array([len(chars) for chars in char_seqs], dtype=np.int64)
+    columns = feature_columns(char_seqs, model.config, lexicons)
+    emis = crf.column_scores(model, columns, int(lengths.sum()))
+    return [labels for labels, _ in crf.viterbi_emissions(model, emis, lengths)]
 
 
 def run_experiment(

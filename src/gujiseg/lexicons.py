@@ -53,6 +53,18 @@ class EntityLexicon:
         """Longest entry in characters, which bounds its length in tokens."""
         return max((len(w) for w in self.entries), default=0)
 
+    @cached_property
+    def trie(self) -> dict:
+        """The entries as a character trie: nested dicts keyed by character,
+        where key None holds the type of the entry that ends there."""
+        root: dict = {}
+        for word, etype in self.entries.items():
+            node = root
+            for ch in word:
+                node = node.setdefault(ch, {})
+            node[None] = etype
+        return root
+
 
 @dataclass(frozen=True)
 class PmiTable:
@@ -137,25 +149,18 @@ def load_entity_lexicon(source: str | TextIO) -> EntityLexicon:
 def tag_entities(chars: Sequence[str], lexicon: EntityLexicon) -> list[EntityTag]:
     """Greedy left-to-right longest-match tagging.
 
-    Matched spans get positional tags: B/I/E for length >= 3, B/E for
-    length 2, S for a single character. Untagged positions stay None.
+    From each start the lexicon's trie is walked token by token, and the
+    longest match that ends on a token boundary wins; a span's length is
+    counted in tokens. Matched spans get positional tags: B/I/E for length
+    >= 3, B/E for length 2, S for a single token. Untagged positions stay
+    None.
     """
     n = len(chars)
     tags: list[EntityTag] = [None] * n
-    if not lexicon.entries:
-        return tags
-    max_len = lexicon.max_word_length
+    trie = lexicon.trie
     i = 0
     while i < n:
-        match_len = 0
-        match_type = ""
-        for length in range(min(max_len, n - i), 0, -1):
-            word = "".join(chars[i : i + length])
-            etype = lexicon.entries.get(word)
-            if etype is not None:
-                match_len = length
-                match_type = etype
-                break
+        match_len, match_type = _longest_match(trie, chars, i)
         if match_len == 0:
             i += 1
             continue
@@ -168,6 +173,20 @@ def tag_entities(chars: Sequence[str], lexicon: EntityLexicon) -> list[EntityTag
             tags[i + match_len - 1] = f"{match_type}-E"
         i += match_len
     return tags
+
+
+def _longest_match(trie: dict, chars: Sequence[str], start: int) -> tuple[int, str]:
+    """(tokens, type) of the longest entry that chars[start:] begins with,
+    or (0, "")."""
+    node, best = trie, (0, "")
+    for j in range(start, len(chars)):
+        for ch in chars[j]:
+            node = node.get(ch)
+            if node is None:
+                return best
+        if None in node:
+            best = (j - start + 1, node[None])
+    return best
 
 
 def build_pmi_table(train, min_count: int = 5) -> PmiTable:

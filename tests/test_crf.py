@@ -32,7 +32,15 @@ from gujiseg.crf import (
     viterbi_batch,
 )
 from gujiseg.evaluation import predict_labels
-from gujiseg.features import FeatureConfig, featurize_chars
+from gujiseg.features import FeatureConfig, feature_columns, featurize_chars
+from gujiseg.lexicons import (
+    GUANGYUN,
+    PINGSHUIYUN,
+    EntityLexicon,
+    LexiconSet,
+    PmiTable,
+    RhymeDictionary,
+)
 from oracles import (
     brute_log_partition,
     brute_marginals,
@@ -282,6 +290,107 @@ class TestViterbiBatch:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty sequence"):
             viterbi_batch(make_model(), [[["a"]], []])
+
+
+RICH_LEX = LexiconSet(
+    rhyme_dicts={
+        GUANGYUN: RhymeDictionary(
+            GUANGYUN,
+            {"天": ("先", "霰"), "黃": ("唐", "宕", "蕩"), "C1": ("東",), "<BOS>": ("虛",)},
+        ),
+        PINGSHUIYUN: RhymeDictionary(PINGSHUIYUN, {"天": ("先",), "宙": ("宥", "尤")}),
+    },
+    entities=EntityLexicon(
+        {"天地": "PLACE", "玄黃宇": "OFFICE", "洪": "REIGN", "C1C2": "OFFICE", "<BOS>天": "PLACE"}
+    ),
+    # values on and around the bin edges 0, 2, 4, 6
+    pmi=PmiTable(
+        100,
+        {
+            ("天", "地"): -0.5, ("地", "玄"): 0.0, ("玄", "黃"): 2.0, ("黃", "宇"): 3.99,
+            ("宇", "宙"): 4.0, ("宙", "洪"): 6.0, ("C1", "C2"): 5.0, ("<BOS>", "天"): 1.0,
+        },
+    ),
+)
+# "C1" + "C2" and "C" + "1C2" render the same bigram; "<BOS>" is also the padding
+TOKENS = list("天地玄黃宇宙洪") + ["C1", "C2", "C", "1C2", "<BOS>", "<EOS>"]
+
+
+class TestColumnScores:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seqs=st.lists(
+            st.one_of(
+                st.text(alphabet="天地玄黃宇宙洪", min_size=1, max_size=10),
+                st.lists(st.sampled_from(TOKENS), min_size=1, max_size=10),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        k=st.integers(0, 3),
+        use_bigrams=st.booleans(),
+        pronunciation=st.sampled_from([None, GUANGYUN, PINGSHUIYUN]),
+        use_words=st.booleans(),
+        use_pmi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        seqs=[["C1", "C2"], ["C", "1C2"], ["<BOS>", "天", "地"], "天"],
+        k=1, use_bigrams=True, pronunciation=GUANGYUN, use_words=True, use_pmi=True, seed=0,
+    )
+    def test_equal_to_attribute_lists(
+        self, seqs, k, use_bigrams, pronunciation, use_words, use_pmi, seed
+    ):
+        cfg = FeatureConfig(k, use_bigrams, pronunciation, use_words, use_pmi)
+        attr_seqs = [featurize_chars(s, cfg, RICH_LEX) for s in seqs]
+        rng = random.Random(seed)
+        universe = sorted({a for attrs in attr_seqs for row in attrs for a in row})
+        known = [a for a in universe if rng.random() < 0.7]
+        m = CrfModel(
+            LABELS,
+            {a: i for i, a in enumerate(known)},
+            np.array([[rng.uniform(-2, 2) for _ in LABELS] for _ in known]).reshape(-1, 2),
+            np.array([[rng.uniform(-2, 2) for _ in LABELS] for _ in LABELS]),
+            cfg,
+        )
+        total = sum(map(len, seqs))
+        emis = crf.column_scores(m, feature_columns(seqs, cfg, RICH_LEX), total)
+        assert np.array_equal(
+            emis, np.concatenate([crf._state_scores(m, attrs) for attrs in attr_seqs])
+        )
+        assert predict_labels(m, seqs, RICH_LEX) == [viterbi(m, attrs)[0] for attrs in attr_seqs]
+
+    def test_decode_memory_scales_with_total_positions(self):
+        # 86 template columns at k=10: the attribute strings of every
+        # position would take over 100 MB, and a [positions, columns] int64
+        # code matrix about 15 MB
+        rng = random.Random(35)
+        alphabet = [chr(0x4E00 + i) for i in range(300)]
+        rhymes = RhymeDictionary(
+            GUANGYUN, {c: (f"r{rng.randrange(60)}", f"q{rng.randrange(60)}") for c in alphabet}
+        )
+        words = {"".join(rng.sample(alphabet, 2)): "PLACE" for _ in range(200)}
+        pairs = {(a, b): rng.uniform(-2, 8) for a, b in zip(alphabet, alphabet[1:])}
+        lex = LexiconSet({GUANGYUN: rhymes}, EntityLexicon(words), PmiTable(100, pairs))
+        cfg = FeatureConfig(10, True, GUANGYUN, True, True)
+        lines = ["".join(rng.choices(alphabet, k=20000))]
+        lines += ["".join(rng.choices(alphabet, k=5)) for _ in range(500)]
+        known = sorted({a for row in featurize_chars(lines[0][:2000], cfg, lex) for a in row})
+        m = CrfModel(
+            LABELS,
+            {a: i for i, a in enumerate(known)},
+            np.array([[rng.uniform(-1, 1) for _ in LABELS] for _ in known]),
+            np.zeros((2, 2)),
+            cfg,
+        )
+        tracemalloc.start()
+        try:
+            preds = predict_labels(m, lines, lex)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(p) for p in preds] == [len(line) for line in lines]
+        assert peak < 12 * 2**20
 
 
 class TestFiring:
