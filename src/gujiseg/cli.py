@@ -37,7 +37,14 @@ from .corpus import (
     write_labeled_corpus,
 )
 from .crf import TrainConfig, TrainingError, load_model, save_model, train
-from .evaluation import SplitError, SplitSpec, evaluate, predict_labels, run_experiment
+from .evaluation import (
+    SplitError,
+    SplitSpec,
+    evaluate,
+    predict_labels,
+    run_experiment,
+    training_set,
+)
 from .features import FeatureConfig, featurize_chars
 from .lexicons import (
     LexiconFormatError,
@@ -212,8 +219,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             save_pmi_table(table, fh)
         logger.info("built PMI table from %d sequences, saved to %s", len(docs), side)
         lexicons = LexiconSet(lexicons.rhyme_dicts, lexicons.entities, table)
-    dataset = [(featurize_chars(d.chars, cfg, lexicons), d.labels) for d in docs]
-    model = train(dataset, _train_config(args), cfg)
+    logger.info("attributes of the first position: %s",
+                " ".join(featurize_chars(docs[0].chars, cfg, lexicons)[0]))
+    model = train(training_set(docs, cfg, lexicons), _train_config(args), cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
         save_model(model, fh)
     _write_manifest(args.output, args, [args.corpus, *lexicon_paths], started)

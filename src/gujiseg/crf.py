@@ -6,16 +6,25 @@ label-pair indicators. All inference runs in log space.
 Training, decoding and marginals all run over one packed time-major
 layout: sequences are sorted longest first, so position t of the k[t]
 sequences still running is the contiguous row block off[t]:off[t]+k[t], in
-the same sequence order at every t. Each step is one slice and one
-reduction, with no padding and no masks; a lone sequence is the case
-k[t] = 1. The backward recursion is shared: reduced with log-sum-exp it
-gives the backward scores of forward-backward, reduced with max the best
-suffix scores of Viterbi. Emissions of attribute lists come from one
-attribute-firing operator (_Firing): the 0/1 matrix F of which attributes
-fire at which row, built from CSR arrays and offering F @ w and F.T @ m in
-numpy alone. Decoding raw text skips the lists: column_scores adds the
-weights of integer-coded attribute columns (features.feature_columns) and
-gives the same emissions bit for bit; viterbi_emissions decodes either.
+the same sequence order at every t, with no padding and no masks; a lone
+sequence is the case k[t] = 1. A step adds into one preallocated buffer and
+folds it over the labels with out= ufunc calls, in the order a reduction
+sums, so the scores equal one np.logaddexp.reduce per step bit for bit
+(tests/oracles.py keeps that form as the reference). The backward
+recursion is shared: folded with log-sum-exp it gives the backward scores
+of forward-backward, folded with max the best suffix scores of Viterbi.
+
+Attribute columns are the one encoder input: (names, codes) pairs in
+canonical order over a batch laid end to end (features.feature_columns, or
+ColumnDataset for training). Training ranks every name by the first (row,
+column) where it occurs, which is the first-seen attribute order of the
+model file, and turns the codes into the CSR arrays of the attribute-firing
+operator _Firing (F @ w and F.T @ m in numpy alone). Attribute lists enter
+as slot columns, column s holding each row's s-th attribute, so
+train(pairs), objective_and_gradient, viterbi, marginals, log_partition and
+score_sequence take the same path. Emissions outside training come from
+column_scores, which sums each row's weights in the order F @ w does;
+viterbi_emissions decodes them.
 
 Training is full-batch gradient ascent on the L2-penalized log-likelihood
 with a backtracking (Armijo) line search: deterministic, monotone, and easy
@@ -24,7 +33,6 @@ to verify against finite differences.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -71,6 +79,25 @@ class TrainMeta:
     objective_history: list[float] = field(default_factory=list, repr=False)
 
 
+# (names, codes): one attribute column of a batch (features.feature_columns)
+Column = tuple[Sequence[str], np.ndarray]
+
+
+@dataclass(frozen=True)
+class ColumnDataset:
+    """A labelled batch as attribute columns: `columns` in canonical order
+    over the sequences laid end to end (features.feature_columns), the
+    sequences' `lengths`, and each sequence's gold `labels`."""
+
+    columns: Sequence[Column]
+    lengths: np.ndarray
+    labels: Sequence[Sequence[str]]
+
+
+# (attribute lists, labels) pairs, or the same sequences as columns
+Dataset = Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]] | ColumnDataset
+
+
 @dataclass(eq=False)
 class Gradient:
     state: np.ndarray
@@ -88,6 +115,8 @@ class CrfModel:
 
     def __post_init__(self) -> None:
         a, l = len(self.attr_index), len(self.labels)
+        if l < 2:
+            raise ValueError("a CRF needs at least two labels")
         if self.state_weights.shape != (a, l):
             raise ValueError(
                 f"state_weights shape {self.state_weights.shape}, expected {(a, l)}"
@@ -121,13 +150,31 @@ def _packed_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _forward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Forward scores: alpha[t] = emis[t] + logsumexp_i(alpha[t-1, i] + trans[i]).
+
+    Each step adds into one preallocated [k[t], L, L] buffer and folds it
+    over the source label i left to right, as np.logaddexp.reduce(axis=1)
+    does, so the scores equal that reduction bit for bit. Views are
+    remade only when k[t] changes.
+    """
     k, off = k.tolist(), off.tolist()
     alpha = np.empty_like(emis)
     alpha[: k[0]] = emis[: k[0]]
+    alpha3 = alpha[:, :, None]
+    buf = np.empty((k[0],) + trans.shape)
+    n_views = 0
     for t in range(1, len(k)):
-        prev = alpha[off[t - 1] : off[t - 1] + k[t], :, None]
-        rows = slice(off[t], off[t] + k[t])
-        alpha[rows] = emis[rows] + np.logaddexp.reduce(prev + trans, axis=1)
+        n, a = k[t], off[t]
+        if n != n_views:
+            pairs = buf[:n]
+            first, second, *rest = [pairs[:, i] for i in range(len(trans))]
+            n_views = n
+        np.add(alpha3[off[t - 1] : off[t - 1] + n], trans, out=pairs)
+        acc = alpha[a : a + n]
+        np.logaddexp(first, second, out=acc)
+        for part in rest:
+            np.logaddexp(acc, part, out=acc)
+        np.add(emis[a : a + n], acc, out=acc)
     return alpha
 
 
@@ -136,27 +183,113 @@ def _backward(
 ) -> np.ndarray:
     """Backward scores in the semiring whose sum is `add`: np.logaddexp for
     forward-backward, np.maximum for Viterbi. A sequence's last row keeps
-    0; emis + beta scores a row together with its (best) suffix."""
+    0; emis + beta scores a row together with its (best) suffix.
+
+    beta[t, i] = add over j of (trans[i, j] + emis[t+1, j] + beta[t+1, j]),
+    folded over j left to right in preallocated buffers, as
+    add.reduce(axis=2) does, so the scores equal that reduction bit for bit.
+    """
     k, off = k.tolist(), off.tolist()
     beta = np.zeros_like(emis)
+    trans_t = np.ascontiguousarray(trans.T)
+    ahead = np.empty((k[0], len(trans)))
+    buf = np.empty((k[0],) + trans.shape)
+    n_views = 0
     for t in range(len(k) - 2, -1, -1):
-        nxt = slice(off[t + 1], off[t + 1] + k[t + 1])
-        ahead = (emis[nxt] + beta[nxt])[:, None, :]
-        beta[off[t] : off[t] + k[t + 1]] = add.reduce(trans + ahead, axis=2)
+        n, a = k[t + 1], off[t + 1]
+        if n != n_views:
+            h, pairs = ahead[:n], buf[:n]
+            h3 = h[:, :, None]
+            first, second, *rest = [pairs[:, j] for j in range(len(trans))]
+            n_views = n
+        np.add(emis[a : a + n], beta[a : a + n], out=h)
+        # pairs[q, j, i] = trans[i, j] + ahead[q, j]
+        np.add(h3, trans_t, out=pairs)
+        acc = beta[off[t] : off[t] + n]
+        add(first, second, out=acc)
+        for part in rest:
+            add(acc, part, out=acc)
     return beta
 
 
-def _fire(
-    attrs: Sequence[Sequence[str]], attr_index: dict[str, int], cols: array, indptr: array
-) -> None:
-    """Append one sequence's rows of the attribute-firing matrix to the CSR
-    arrays `cols` and `indptr`; unknown attributes fire nothing."""
-    for row in attrs:
-        for a in row:
-            j = attr_index.get(a)
-            if j is not None:
-                cols.append(j)
-        indptr.append(len(cols))
+def _slot_columns(attr_seqs: Iterable[Sequence[Sequence[str]]]) -> list[Column]:
+    """Attribute lists as columns over their rows laid end to end: column s
+    holds each row's s-th attribute, code -1 where a row has fewer. A row
+    reads its list back in column order, as canonical columns do."""
+    rows = [row for attrs in attr_seqs for row in attrs]
+    columns: list[Column] = []
+    live = [r for r, row in enumerate(rows) if row]
+    while live:
+        s = len(columns)
+        names: dict[str, int] = {}
+        codes = np.full(len(rows), -1, dtype=np.int32)
+        codes[live] = [names.setdefault(rows[r][s], len(names)) for r in live]
+        columns.append((list(names), codes))
+        live = [r for r in live if len(rows[r]) > s + 1]
+    return columns
+
+
+def _as_columns(dataset: Dataset) -> ColumnDataset:
+    if isinstance(dataset, ColumnDataset):
+        return dataset
+    return ColumnDataset(
+        _slot_columns(attrs for attrs, _ in dataset),
+        np.array([len(attrs) for attrs, _ in dataset], dtype=np.int64),
+        [labels for _, labels in dataset],
+    )
+
+
+def _lookup(attr_index: dict[str, int], names: Sequence[str], missing: int) -> np.ndarray:
+    """The ids of `names`, `missing` for unknown names, then one more
+    `missing` for code -1 to take."""
+    ids = np.fromiter((attr_index.get(name, missing) for name in names), np.intp, len(names))
+    return np.append(ids, missing)
+
+
+def _build_attr_index(columns: Sequence[Column]) -> dict[str, int]:
+    """The attribute index in first-seen order over rows, and within a row
+    in column order: each name is ranked by the first (row, column) where
+    its code occurs, and ids are handed out in that order, so a name that
+    several codes or columns render gets the id of its first occurrence."""
+    names: list[str] = []
+    firsts, where = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for c, (col_names, codes) in enumerate(columns):
+        present, first = np.unique(codes, return_index=True)
+        if len(present) and present[0] < 0:
+            present, first = present[1:], first[1:]
+        names += [col_names[code] for code in present.tolist()]
+        firsts.append(first)
+        where.append(np.full(len(first), c))
+    ranked = np.array(names, dtype=object)[np.lexsort((np.concatenate(where), np.concatenate(firsts)))]
+    index: dict[str, int] = {}
+    for name in ranked:
+        index.setdefault(name, len(index))
+    return index
+
+
+def _firing_csr(
+    columns: Sequence[Column], attr_index: dict[str, int], order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (cols, indptr) of the attribute-firing matrix whose row q
+    is row order[q] of the rows the columns cover: a row fires, column by
+    column, the id of its code's name. Names not in attr_index and code -1
+    fire nothing."""
+    lookups = [_lookup(attr_index, names, -1) for names, _ in columns]
+    fired = np.zeros(len(order), dtype=np.intp)
+    for ids, (_, codes) in zip(lookups, columns):
+        fired += ids[codes] >= 0
+    indptr = np.zeros(len(order) + 1, dtype=np.intp)
+    np.cumsum(fired[order], out=indptr[1:])
+    cols = np.empty(indptr[-1], dtype=np.intp)
+    # where the next entry of each row (in the columns' order) goes
+    slot = np.empty_like(fired)
+    slot[order] = indptr[:-1]
+    for ids, (_, codes) in zip(lookups, columns):
+        row_ids = ids[codes]
+        hit = row_ids >= 0
+        cols[slot[hit]] = row_ids[hit]
+        slot += hit
+    return cols, indptr
 
 
 class _Firing:
@@ -171,16 +304,21 @@ class _Firing:
     """
 
     def __init__(
-        self, cols: array, indptr: array, n_attrs: int, order: Optional[np.ndarray] = None
+        self,
+        cols: Sequence[int],
+        indptr: Sequence[int],
+        n_attrs: int,
+        order: Optional[np.ndarray] = None,
     ) -> None:
         cols = np.asarray(cols, dtype=np.intp)
         indptr = np.asarray(indptr, dtype=np.intp)
         start, fired = indptr[:-1], np.diff(indptr)
         if order is not None:
             start, fired = start[order], fired[order]
-        self.n_attrs, self.nnz, self.fired = n_attrs, len(cols), fired
-        # CSR entries of the rows in their new order, for counts
-        self.cols = cols[np.arange(self.nnz) + np.repeat(start - np.cumsum(fired) + fired, fired)]
+            # CSR entries of the rows in their new order, for counts
+            cols = cols[np.arange(len(cols)) + np.repeat(start - np.cumsum(fired) + fired, fired)]
+            start = np.cumsum(fired) - fired
+        self.n_attrs, self.nnz, self.fired, self.cols = n_attrs, len(cols), fired, cols
         by_fired = np.argsort(-fired, kind="stable")
         self.rank = np.empty_like(by_fired)
         self.rank[by_fired] = np.arange(len(fired))
@@ -198,43 +336,31 @@ class _Firing:
 
     def counts(self, m: np.ndarray) -> np.ndarray:
         """F.T @ m for m [rows, L]."""
-        return np.stack(
-            [
-                np.bincount(self.cols, np.repeat(m[:, l], self.fired), self.n_attrs)
-                for l in range(m.shape[1])
-            ],
-            axis=1,
-        )
+        out = np.empty((self.n_attrs, m.shape[1]))
+        for l in range(m.shape[1]):
+            out[:, l] = np.bincount(self.cols, np.repeat(m[:, l], self.fired), self.n_attrs)
+        return out
 
 
 def _state_scores(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray:
-    """Emissions [T, L] of one sequence given as attribute lists: its firing
-    matrix times the state weights. Each row sums the weights of its known
-    attributes in list order, starting from zero; column_scores sums the
-    same terms in the same order."""
-    cols, indptr = array("q"), array("q", [0])
-    _fire(attrs, model.attr_index, cols, indptr)
-    return _Firing(cols, indptr, len(model.attr_index)).scores(model.state_weights)
+    """Emissions [T, L] of one sequence given as attribute lists: each row
+    sums the weights of its known attributes in list order, starting from
+    zero (column_scores of its slot columns)."""
+    return column_scores(model, _slot_columns([attrs]), len(attrs))
 
 
-def column_scores(
-    model: CrfModel, columns: Iterable[tuple[Sequence[str], np.ndarray]], total: int
-) -> np.ndarray:
+def column_scores(model: CrfModel, columns: Iterable[Column], total: int) -> np.ndarray:
     """Emissions [total, L] of a batch given as attribute columns
     (features.feature_columns): each column's names are looked up in the
     model once, and every row adds the state weights of its code's name.
     Unknown names and code -1 add a zero row, which leaves a sum exactly as
-    it was, so each row equals _state_scores of its attribute list bit for
-    bit when the columns come in canonical order."""
+    it was, so a row sums the weights of its attribute list in list order,
+    bit for bit as the firing matrix's F @ w does."""
     n_attrs, n_labels = model.state_weights.shape
     weights = np.vstack([model.state_weights, np.zeros((1, n_labels))])
     emis = np.zeros((total, n_labels))
     for names, codes in columns:
-        rows = np.fromiter(
-            (model.attr_index.get(name, n_attrs) for name in names), np.intp, len(names)
-        )
-        # code -1 takes the last entry, the zero row
-        emis += weights[np.append(rows, n_attrs)[codes]]
+        emis += weights[_lookup(model.attr_index, names, n_attrs)[codes]]
     return emis
 
 
@@ -316,7 +442,10 @@ def viterbi_emissions(
     and `lengths` their lengths.
 
     Best suffix scores come from the shared backward recursion, then one
-    first-argmax forward pass runs over the k[t] running rows at each step.
+    first-argmax forward pass runs over the k[t] running rows at each step:
+    the candidates trans[prev] + suffix fill one preallocated buffer, and a
+    fold over the labels keeps the first label that scores strictly more
+    than every earlier one, as np.argmax does.
     """
     if np.any(lengths == 0):
         raise ValueError("empty sequence")
@@ -330,10 +459,23 @@ def viterbi_emissions(
     n, steps, starts = len(lengths), k.tolist(), off.tolist()
     path = np.empty(len(suffix), dtype=np.int64)
     path[:n] = np.argmax(suffix[:n], axis=1)
+    cand, better = np.empty((n, len(trans))), np.empty(n, dtype=bool)
+    n_views = 0
     for t in range(1, len(steps)):
-        prev = path[starts[t - 1] : starts[t - 1] + steps[t]]
-        rows = slice(starts[t], starts[t] + steps[t])
-        path[rows] = np.argmax(trans[prev] + suffix[rows], axis=1)
+        m, a = steps[t], starts[t]
+        if m != n_views:
+            c, g = cand[:m], better[:m]
+            parts = [c[:, j] for j in range(len(trans))]
+            n_views = m
+        np.take(trans, path[starts[t - 1] : starts[t - 1] + m], axis=0, out=c)
+        np.add(c, suffix[a : a + m], out=c)
+        out = path[a : a + m]
+        np.greater(parts[1], parts[0], out=out)
+        # parts[0] becomes the best score so far
+        for j in range(2, len(parts)):
+            np.maximum(parts[0], parts[j - 1], out=parts[0])
+            np.greater(parts[j], parts[0], out=g)
+            np.copyto(out, j, where=g)
     labels = np.empty(len(path), dtype=object)
     labels[order] = np.array(model.labels, dtype=object)[path]
     labels = labels.tolist()
@@ -356,36 +498,31 @@ class _Encoded:
     belongs to rank `row_rank[q]`, and rank r ends at row `last[r]`.
     """
 
-    def __init__(
-        self,
-        dataset: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]],
-        attr_index: dict[str, int],
-        labels: Sequence[str],
-    ) -> None:
+    def __init__(self, dataset: Dataset, attr_index: dict[str, int], labels: Sequence[str]) -> None:
+        batch = _as_columns(dataset)
         label_id = {l: i for i, l in enumerate(labels)}
         L, A = len(labels), len(attr_index)
-        lengths = []
-        cols = array("q")
-        indptr = array("q", [0])
-        gold = array("q")
-        for attrs, labs in dataset:
-            if len(attrs) != len(labs):
-                raise ValueError(f"{len(attrs)} positions vs {len(labs)} labels")
-            if not attrs:
+        if L < 2:
+            raise ValueError("a CRF needs at least two labels")
+        lengths = np.asarray(batch.lengths, dtype=np.int64)
+        if len(batch.labels) != len(lengths):
+            raise ValueError(f"{len(lengths)} sequences vs {len(batch.labels)} label sequences")
+        for length, labs in zip(lengths.tolist(), batch.labels):
+            if length != len(labs):
+                raise ValueError(f"{length} positions vs {len(labs)} labels")
+            if not length:
                 raise ValueError("empty sequence in dataset")
-            lengths.append(len(attrs))
-            for lab in labs:
-                try:
-                    gold.append(label_id[lab])
-                except KeyError:
-                    raise ValueError(f"label {lab!r} not in {tuple(labels)}")
-            _fire(attrs, attr_index, cols, indptr)
-        lengths = np.array(lengths, dtype=np.int64)
         n, total = len(lengths), int(lengths.sum())
+        try:
+            gold = np.fromiter(
+                (label_id[lab] for labs in batch.labels for lab in labs), np.int64, total
+            )
+        except KeyError as exc:
+            raise ValueError(f"label {exc.args[0]!r} not in {tuple(labels)}") from None
         k, off, order = _packed_order(lengths)
         self.k, self.off = k, off
-        self.X = _Firing(cols, indptr, A, order)
-        gold = np.array(gold, dtype=np.int64)[order]
+        self.X = _Firing(*_firing_csr(batch.columns, attr_index, order), A)
+        gold = gold[order]
         self.row_rank = np.arange(total) - np.repeat(off, k)
         self.prev = np.arange(k[0], total) - np.repeat(k[:-1], k[1:])
         self.last = off[np.sort(lengths)[::-1] - 1] + np.arange(n)
@@ -457,51 +594,42 @@ class _Encoded:
 
 
 def objective_and_gradient(
-    model: CrfModel,
-    dataset: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]],
-    l2_sigma: float,
+    model: CrfModel, dataset: Dataset, l2_sigma: float
 ) -> tuple[float, Gradient]:
     """Penalized log-likelihood of the dataset under the model, with its
     gradient (observed minus expected feature counts minus the prior pull).
     """
-    if not dataset:
+    batch = _as_columns(dataset)
+    if not len(batch.lengths):
         raise ValueError("dataset must be non-empty")
-    enc = _Encoded(dataset, model.attr_index, model.labels)
+    enc = _Encoded(batch, model.attr_index, model.labels)
     return enc.objective_and_gradient(
         model.state_weights, model.trans_weights, l2_sigma**2
     )
 
 
-def _build_attr_index(
-    dataset: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]]
-) -> dict[str, int]:
-    index: dict[str, int] = {}
-    for attrs, _ in dataset:
-        for row in attrs:
-            for a in row:
-                if a not in index:
-                    index[a] = len(index)
-    return index
-
-
 def train(
-    dataset: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]],
+    dataset: Dataset,
     config: TrainConfig = TrainConfig(),
     feature_config: Optional[FeatureConfig] = None,
     labels: Sequence[str] = LABELS,
 ) -> CrfModel:
     """Fit a model by full-batch gradient ascent with Armijo backtracking.
 
+    `dataset` is (attribute lists, labels) pairs or a ColumnDataset; the
+    attribute index comes out in first-seen order either way, so the two
+    forms of one dataset give the same model.
     Deterministic given (dataset, config): weights start at zero, every
     step is full-batch and no random number is drawn.
     Stops on relative objective change below config.tolerance or after
     config.max_iterations accepted steps, whichever is first, or when the
     line search finds no acceptable step; meta.stopped_by names the rule.
     """
-    if not dataset:
+    batch = _as_columns(dataset)
+    if not len(batch.lengths):
         raise ValueError("dataset must be non-empty")
-    attr_index = _build_attr_index(dataset)
-    enc = _Encoded(dataset, attr_index, labels)
+    attr_index = _build_attr_index(batch.columns)
+    enc = _Encoded(batch, attr_index, labels)
     sigma_sq = config.l2_sigma**2
     state = np.zeros((len(attr_index), len(labels)))
     trans = np.zeros((len(labels), len(labels)))

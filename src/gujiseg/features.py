@@ -12,11 +12,14 @@ in first-seen order, so this order decides the model bytes.
 batch of sequences, one template column at a time in canonical order, with
 characters interned as integer ids: a column is one integer code per
 position, and attribute strings are rendered only for the codes that occur.
-It checks the resources it needs once per batch. Decoding looks each
-column's few strings up in the model (`crf.column_scores`) and never makes
-per-position strings; `featurize_chars` renders the columns of one sequence
-into per-position lists for training, and `extract_features` slices one
-position out of that, so it costs O(len(seq)).
+It checks the resources it needs once per batch. Columns are what the
+model layer consumes: training encodes a whole training set's columns at
+once (`evaluation.training_set`, `crf.train`) and decoding looks each
+column's few strings up in the model (`crf.column_scores`), so neither makes
+per-position strings. `featurize_chars` renders the columns of one sequence
+into per-position lists, for tests, the library's attribute-list calls and
+`extract_features`, which slices one position out of that, so it costs
+O(len(seq)).
 """
 
 from __future__ import annotations

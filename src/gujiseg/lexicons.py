@@ -49,11 +49,6 @@ class EntityLexicon:
     entries: dict[str, str]
 
     @cached_property
-    def max_word_length(self) -> int:
-        """Longest entry in characters, which bounds its length in tokens."""
-        return max((len(w) for w in self.entries), default=0)
-
-    @cached_property
     def trie(self) -> dict:
         """The entries as a character trie: nested dicts keyed by character,
         where key None holds the type of the entry that ends there."""

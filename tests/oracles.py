@@ -8,6 +8,8 @@ code paths, so tests compare two genuinely separate derivations.
 import itertools
 import math
 
+import numpy as np
+
 
 def emission_score(model, attrs_t, label_id):
     total = 0.0
@@ -88,6 +90,55 @@ def fd_gradient(objective, perturb, h=1e-5):
     f_minus = objective()
     perturb(+h)
     return (f_plus - f_minus) / (2 * h)
+
+
+def reference_forward(emis, trans, k, off):
+    """Packed forward scores, one log-sum-exp reduction per step."""
+    k, off = k.tolist(), off.tolist()
+    alpha = np.empty_like(emis)
+    alpha[: k[0]] = emis[: k[0]]
+    for t in range(1, len(k)):
+        prev = alpha[off[t - 1] : off[t - 1] + k[t], :, None]
+        rows = slice(off[t], off[t] + k[t])
+        alpha[rows] = emis[rows] + np.logaddexp.reduce(prev + trans, axis=1)
+    return alpha
+
+
+def reference_backward(emis, trans, k, off, add=np.logaddexp):
+    """Packed backward scores in the semiring whose sum is `add`, one
+    reduction per step."""
+    k, off = k.tolist(), off.tolist()
+    beta = np.zeros_like(emis)
+    for t in range(len(k) - 2, -1, -1):
+        nxt = slice(off[t + 1], off[t + 1] + k[t + 1])
+        ahead = (emis[nxt] + beta[nxt])[:, None, :]
+        beta[off[t] : off[t] + k[t + 1]] = add.reduce(trans + ahead, axis=2)
+    return beta
+
+
+def reference_viterbi_path(emis, trans, k, off):
+    """Packed label ids of the best paths: best suffixes by the max-plus
+    backward recursion, then np.argmax forward, one step at a time."""
+    suffix = emis + reference_backward(emis, trans, k, off, np.maximum)
+    steps, starts = k.tolist(), off.tolist()
+    path = np.empty(len(emis), dtype=np.int64)
+    path[: steps[0]] = np.argmax(suffix[: steps[0]], axis=1)
+    for t in range(1, len(steps)):
+        prev = path[starts[t - 1] : starts[t - 1] + steps[t]]
+        rows = slice(starts[t], starts[t] + steps[t])
+        path[rows] = np.argmax(trans[prev] + suffix[rows], axis=1)
+    return path
+
+
+def first_seen_encoding(attr_seqs):
+    """(attribute index, CSR cols, CSR indptr) of attribute lists by one
+    pass over every string: a new string takes the next id."""
+    index, cols, indptr = {}, [], [0]
+    for attrs in attr_seqs:
+        for row in attrs:
+            cols += [index.setdefault(a, len(index)) for a in row]
+            indptr.append(len(cols))
+    return index, cols, indptr
 
 
 def brute_tag_entities(chars, lexicon):

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from gujiseg import crf
 
-from gujiseg.corpus import LABELS, M, O
+from gujiseg.corpus import LABELS, M, O, LabeledSequence
 from gujiseg.crf import (
     CrfModel,
     ModelFormatError,
@@ -31,7 +32,7 @@ from gujiseg.crf import (
     viterbi,
     viterbi_batch,
 )
-from gujiseg.evaluation import predict_labels
+from gujiseg.evaluation import predict_labels, training_set
 from gujiseg.features import FeatureConfig, feature_columns, featurize_chars
 from gujiseg.lexicons import (
     GUANGYUN,
@@ -47,6 +48,10 @@ from oracles import (
     brute_objective,
     brute_viterbi,
     fd_gradient,
+    first_seen_encoding,
+    reference_backward,
+    reference_forward,
+    reference_viterbi_path,
 )
 
 POOL = [f"w[0]={c}" for c in "天地玄黃宇宙洪荒"]
@@ -432,6 +437,145 @@ class TestFiring:
         subprocess.run(
             [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)}
         )
+
+
+class TestRecursions:
+    # ragged batches, many length-1 sequences; integer scores tie everywhere
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_labels=st.integers(2, 4),
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        tied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_labels=2, lengths=[1], tied=True, seed=0)
+    @example(n_labels=3, lengths=[1, 4, 1, 1, 2], tied=True, seed=1)
+    def test_equal_to_one_reduction_per_step(self, n_labels, lengths, tied, seed):
+        rng = np.random.default_rng(seed)
+        lengths = np.array(lengths)
+        shape = (int(lengths.sum()), n_labels)
+        if tied:
+            emis = rng.integers(-1, 2, shape).astype(float)
+            trans = rng.integers(-1, 2, (n_labels, n_labels)).astype(float)
+        else:
+            emis = rng.normal(0.0, 3.0, shape)
+            trans = rng.normal(0.0, 1.0, (n_labels, n_labels))
+        k, off, order = crf._packed_order(lengths)
+        packed = emis[order]
+        assert np.array_equal(
+            crf._forward(packed, trans, k, off), reference_forward(packed, trans, k, off)
+        )
+        for add in (np.logaddexp, np.maximum):
+            assert np.array_equal(
+                crf._backward(packed, trans, k, off, add),
+                reference_backward(packed, trans, k, off, add),
+            )
+        labels = tuple("OMXY"[:n_labels])
+        m = CrfModel(labels, {}, np.zeros((0, n_labels)), trans, FeatureConfig())
+        path = np.empty(len(order), dtype=np.int64)
+        path[order] = reference_viterbi_path(packed, trans, k, off)
+        ends = np.cumsum(lengths)
+        expected = [[labels[y] for y in path[e - n : e]] for e, n in zip(ends, lengths)]
+        assert [p for p, _ in crf.viterbi_emissions(m, emis, lengths)] == expected
+
+    def test_one_label_rejected(self):
+        with pytest.raises(ValueError, match="two labels"):
+            CrfModel(("O",), {}, np.zeros((0, 1)), np.zeros((1, 1)), FeatureConfig())
+        with pytest.raises(ValueError, match="two labels"):
+            train([([["a"]], ["O"])], labels=("O",))
+
+
+# "天" and "地" list the same classes in either order, "玄" one class twice
+ENCODER_LEX = LexiconSet(
+    rhyme_dicts={
+        GUANGYUN: RhymeDictionary(
+            GUANGYUN, {"天": ("先", "霰"), "地": ("霰", "先"), "玄": ("東", "東"), "C1": ("東",)}
+        )
+    },
+    entities=RICH_LEX.entities,
+    pmi=RICH_LEX.pmi,
+)
+
+
+class TestEncoder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seqs=st.lists(
+            st.one_of(
+                st.text(alphabet="天地玄黃宇宙洪", min_size=1, max_size=10),
+                st.lists(st.sampled_from(TOKENS), min_size=1, max_size=10),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        k=st.integers(0, 3),
+        use_bigrams=st.booleans(),
+        pronunciation=st.sampled_from([None, GUANGYUN]),
+        use_words=st.booleans(),
+        use_pmi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        seqs=[["C1", "C2"], ["C", "1C2"], "天地玄", "玄地天"],
+        k=1, use_bigrams=True, pronunciation=GUANGYUN, use_words=True, use_pmi=True, seed=0,
+    )
+    def test_equal_to_first_seen_strings(
+        self, seqs, k, use_bigrams, pronunciation, use_words, use_pmi, seed
+    ):
+        cfg = FeatureConfig(k, use_bigrams, pronunciation, use_words, use_pmi)
+        rng = random.Random(seed)
+        docs = [SimpleNamespace(chars=s, labels=[rng.choice(LABELS) for _ in s]) for s in seqs]
+        attr_seqs = [featurize_chars(s, cfg, ENCODER_LEX) for s in seqs]
+        index, cols, indptr = first_seen_encoding(attr_seqs)
+        observed = np.zeros((len(index), len(LABELS)))
+        for attrs, doc in zip(attr_seqs, docs):
+            for row, label in zip(attrs, doc.labels):
+                for a in row:
+                    observed[index[a], LABELS.index(label)] += 1
+        pairs = [(attrs, doc.labels) for attrs, doc in zip(attr_seqs, docs)]
+        batch = training_set(docs, cfg, ENCODER_LEX)
+        for columns in (batch.columns, crf._slot_columns(attr_seqs)):
+            got = crf._build_attr_index(columns)
+            assert list(got.items()) == list(index.items())
+            got_cols, got_indptr = crf._firing_csr(columns, got, np.arange(len(indptr) - 1))
+            assert (got_cols.tolist(), got_indptr.tolist()) == (cols, indptr)
+        for dataset in (batch, pairs):
+            assert np.array_equal(crf._Encoded(dataset, index, LABELS).observed_state, observed)
+        config = TrainConfig(max_iterations=2)
+        a, b = train(batch, config, cfg), train(pairs, config, cfg)
+        assert list(a.attr_index.items()) == list(b.attr_index.items())
+        assert np.array_equal(a.state_weights, b.state_weights)
+        assert np.array_equal(a.trans_weights, b.trans_weights)
+
+    def test_train_memory_scales_with_total_positions(self):
+        # the decode memory test's corpus and 86 template columns at k=10,
+        # with 377,768 distinct attributes: their strings, the index and the
+        # weight arrays take most of the peak. Training on the attribute
+        # lists of every position, as featurize_chars renders them, peaks
+        # at 147 MB; on the batch's columns at 140 MB.
+        rng = random.Random(36)
+        alphabet = [chr(0x4E00 + i) for i in range(300)]
+        rhymes = RhymeDictionary(
+            GUANGYUN, {c: (f"r{rng.randrange(60)}", f"q{rng.randrange(60)}") for c in alphabet}
+        )
+        words = {"".join(rng.sample(alphabet, 2)): "PLACE" for _ in range(200)}
+        pairs = {(a, b): rng.uniform(-2, 8) for a, b in zip(alphabet, alphabet[1:])}
+        lex = LexiconSet({GUANGYUN: rhymes}, EntityLexicon(words), PmiTable(100, pairs))
+        cfg = FeatureConfig(10, True, GUANGYUN, True, True)
+        lines = ["".join(rng.choices(alphabet, k=20000))]
+        lines += ["".join(rng.choices(alphabet, k=5)) for _ in range(500)]
+        docs = [
+            LabeledSequence(str(i), line, "".join(rng.choice(LABELS) for _ in line))
+            for i, line in enumerate(lines)
+        ]
+        tracemalloc.start()
+        try:
+            model = train(training_set(docs, cfg, lex), TrainConfig(max_iterations=1), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.meta.iterations == 1
+        assert peak < 143 * 2**20
 
 
 class TestObjectiveAndGradient:

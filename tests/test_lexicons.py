@@ -53,7 +53,6 @@ class TestEntityLexicon:
     def test_load(self):
         lex = load_entity_lexicon("貞觀\tREIGN\n長安\tPLACE\n")
         assert lex.entries == {"貞觀": "REIGN", "長安": "PLACE"}
-        assert lex.max_word_length == 2
 
     def test_conflict_first_wins_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
