@@ -260,9 +260,9 @@ def _build_attr_index(columns: Sequence[Column]) -> dict[str, int]:
         names += [col_names[code] for code in present.tolist()]
         firsts.append(first)
         where.append(np.full(len(first), c))
-    ranked = np.array(names, dtype=object)[np.lexsort((np.concatenate(where), np.concatenate(firsts)))]
+    by_first = np.lexsort((np.concatenate(where), np.concatenate(firsts)))
     index: dict[str, int] = {}
-    for name in ranked:
+    for name in np.array(names, dtype=object)[by_first]:
         index.setdefault(name, len(index))
     return index
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import crf
 from .corpus import LabeledSequence, M
-from .features import FeatureConfig, feature_columns, featurize_chars  # noqa: F401  (perfbench wraps it)
+# featurize_chars stays importable here: the traced benchmark run wraps it
+from .features import FeatureConfig, feature_columns, featurize_chars  # noqa: F401
 from .lexicons import LexiconSet, build_pmi_table
 
 logger = logging.getLogger(__name__)
