@@ -115,8 +115,6 @@ class CrfModel:
 
     def __post_init__(self) -> None:
         a, l = len(self.attr_index), len(self.labels)
-        if l < 2:
-            raise ValueError("a CRF needs at least two labels")
         if self.state_weights.shape != (a, l):
             raise ValueError(
                 f"state_weights shape {self.state_weights.shape}, expected {(a, l)}"
@@ -167,15 +165,25 @@ def _forward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray
         n, a = k[t], off[t]
         if n != n_views:
             pairs = buf[:n]
-            first, second, *rest = [pairs[:, i] for i in range(len(trans))]
+            fold, (first, second, *rest) = _fold_operands(pairs, np.logaddexp)
             n_views = n
         np.add(alpha3[off[t - 1] : off[t - 1] + n], trans, out=pairs)
         acc = alpha[a : a + n]
-        np.logaddexp(first, second, out=acc)
+        fold(first, second, out=acc)
         for part in rest:
-            np.logaddexp(acc, part, out=acc)
+            fold(acc, part, out=acc)
         np.add(emis[a : a + n], acc, out=acc)
     return alpha
+
+
+def _fold_operands(pairs: np.ndarray, add) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(ufunc, views) of a step that folds pairs[:, i] over the labels i
+    with `add`. A fold takes two operands at least, so a lone label's view
+    is listed twice and folded with np.maximum, which returns it bit for bit."""
+    parts = [pairs[:, i] for i in range(pairs.shape[1])]
+    if len(parts) == 1:
+        return np.maximum, parts * 2
+    return add, parts
 
 
 def _backward(
@@ -200,15 +208,15 @@ def _backward(
         if n != n_views:
             h, pairs = ahead[:n], buf[:n]
             h3 = h[:, :, None]
-            first, second, *rest = [pairs[:, j] for j in range(len(trans))]
+            fold, (first, second, *rest) = _fold_operands(pairs, add)
             n_views = n
         np.add(emis[a : a + n], beta[a : a + n], out=h)
         # pairs[q, j, i] = trans[i, j] + ahead[q, j]
         np.add(h3, trans_t, out=pairs)
         acc = beta[off[t] : off[t] + n]
-        add(first, second, out=acc)
+        fold(first, second, out=acc)
         for part in rest:
-            add(acc, part, out=acc)
+            fold(acc, part, out=acc)
     return beta
 
 
@@ -294,7 +302,7 @@ def _firing_csr(
 
 class _Firing:
     """The 0/1 attribute-firing matrix F [rows, n_attrs] whose row i fires
-    cols[indptr[i]:indptr[i+1]], with its rows taken in `order` if given.
+    cols[indptr[i]:indptr[i+1]].
 
     It offers the two products the CRF needs, both summed in CSR row order
     from zero, so they equal a sparse-matrix product bit for bit:
@@ -303,21 +311,8 @@ class _Firing:
     fire an s-th attribute are a prefix and slot s adds into one slice.
     """
 
-    def __init__(
-        self,
-        cols: Sequence[int],
-        indptr: Sequence[int],
-        n_attrs: int,
-        order: Optional[np.ndarray] = None,
-    ) -> None:
-        cols = np.asarray(cols, dtype=np.intp)
-        indptr = np.asarray(indptr, dtype=np.intp)
+    def __init__(self, cols: np.ndarray, indptr: np.ndarray, n_attrs: int) -> None:
         start, fired = indptr[:-1], np.diff(indptr)
-        if order is not None:
-            start, fired = start[order], fired[order]
-            # CSR entries of the rows in their new order, for counts
-            cols = cols[np.arange(len(cols)) + np.repeat(start - np.cumsum(fired) + fired, fired)]
-            start = np.cumsum(fired) - fired
         self.n_attrs, self.nnz, self.fired, self.cols = n_attrs, len(cols), fired, cols
         by_fired = np.argsort(-fired, kind="stable")
         self.rank = np.empty_like(by_fired)
@@ -336,10 +331,13 @@ class _Firing:
 
     def counts(self, m: np.ndarray) -> np.ndarray:
         """F.T @ m for m [rows, L]."""
-        out = np.empty((self.n_attrs, m.shape[1]))
-        for l in range(m.shape[1]):
-            out[:, l] = np.bincount(self.cols, np.repeat(m[:, l], self.fired), self.n_attrs)
-        return out
+        return np.stack(
+            [
+                np.bincount(self.cols, np.repeat(m[:, l], self.fired), self.n_attrs)
+                for l in range(m.shape[1])
+            ],
+            axis=1,
+        )
 
 
 def _state_scores(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray:
@@ -465,7 +463,8 @@ def viterbi_emissions(
         m, a = steps[t], starts[t]
         if m != n_views:
             c, g = cand[:m], better[:m]
-            parts = [c[:, j] for j in range(len(trans))]
+            # a lone label's view comes twice, and its copy never scores more
+            _, parts = _fold_operands(c, np.maximum)
             n_views = m
         np.take(trans, path[starts[t - 1] : starts[t - 1] + m], axis=0, out=c)
         np.add(c, suffix[a : a + m], out=c)
@@ -502,8 +501,6 @@ class _Encoded:
         batch = _as_columns(dataset)
         label_id = {l: i for i, l in enumerate(labels)}
         L, A = len(labels), len(attr_index)
-        if L < 2:
-            raise ValueError("a CRF needs at least two labels")
         lengths = np.asarray(batch.lengths, dtype=np.int64)
         if len(batch.labels) != len(lengths):
             raise ValueError(f"{len(lengths)} sequences vs {len(batch.labels)} label sequences")
@@ -603,6 +600,7 @@ def objective_and_gradient(
     if not len(batch.lengths):
         raise ValueError("dataset must be non-empty")
     enc = _Encoded(batch, model.attr_index, model.labels)
+    del batch  # slot columns made from attribute lists are spent
     return enc.objective_and_gradient(
         model.state_weights, model.trans_weights, l2_sigma**2
     )
@@ -630,6 +628,7 @@ def train(
         raise ValueError("dataset must be non-empty")
     attr_index = _build_attr_index(batch.columns)
     enc = _Encoded(batch, attr_index, labels)
+    del batch  # slot columns made from attribute lists are spent
     sigma_sq = config.l2_sigma**2
     state = np.zeros((len(attr_index), len(labels)))
     trans = np.zeros((len(labels), len(labels)))

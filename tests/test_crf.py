@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -406,28 +405,28 @@ class TestFiring:
         st.integers(1, 6).flatmap(
             lambda n_attrs: st.tuples(
                 st.just(n_attrs),
-                st.lists(st.lists(st.integers(0, n_attrs - 1), max_size=5), min_size=1, max_size=12),
+                st.lists(st.lists(st.integers(0, n_attrs), max_size=5), min_size=1, max_size=12),
                 st.randoms(use_true_random=False),
             )
         )
     )
     def test_products_match_dense(self, case):
         n_attrs, rows, rng = case
-        cols, indptr = array("q"), array("q", [0])
-        for row in rows:
-            cols.extend(row)
-            indptr.append(len(cols))
         order = np.array(rng.sample(range(len(rows)), len(rows)))
         dense = np.zeros((len(rows), n_attrs))
         for i, row in enumerate(rows):
             for a in row:
-                dense[i, a] += 1.0
+                if a < n_attrs:
+                    dense[i, a] += 1.0
         dense = dense[order]
         # integer-valued weights make every summation order exact
         w = np.array([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n_attrs)], float)
         m = np.array([[rng.randint(-9, 9) for _ in range(2)] for _ in rows], float)
-        firing = crf._Firing(cols, indptr, n_attrs, order)
-        assert firing.nnz == sum(map(len, rows))
+        # attribute n_attrs is not in the index and fires nothing
+        columns = crf._slot_columns([[[str(a) for a in row] for row in rows]])
+        attr_index = {str(a): a for a in range(n_attrs)}
+        firing = crf._Firing(*crf._firing_csr(columns, attr_index, order), n_attrs)
+        assert firing.nnz == dense.sum()
         assert np.array_equal(firing.scores(w), dense @ w)
         assert np.array_equal(firing.counts(m), dense.T @ m)
 
@@ -443,12 +442,13 @@ class TestRecursions:
     # ragged batches, many length-1 sequences; integer scores tie everywhere
     @settings(max_examples=150, deadline=None)
     @given(
-        n_labels=st.integers(2, 4),
+        n_labels=st.integers(1, 4),
         lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8),
         tied=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n_labels=2, lengths=[1], tied=True, seed=0)
+    @example(n_labels=1, lengths=[3, 1, 2], tied=False, seed=2)
     @example(n_labels=3, lengths=[1, 4, 1, 1, 2], tied=True, seed=1)
     def test_equal_to_one_reduction_per_step(self, n_labels, lengths, tied, seed):
         rng = np.random.default_rng(seed)
@@ -478,11 +478,21 @@ class TestRecursions:
         expected = [[labels[y] for y in path[e - n : e]] for e, n in zip(ends, lengths)]
         assert [p for p, _ in crf.viterbi_emissions(m, emis, lengths)] == expected
 
-    def test_one_label_rejected(self):
-        with pytest.raises(ValueError, match="two labels"):
-            CrfModel(("O",), {}, np.zeros((0, 1)), np.zeros((1, 1)), FeatureConfig())
-        with pytest.raises(ValueError, match="two labels"):
-            train([([["a"]], ["O"])], labels=("O",))
+    def test_one_label_model(self):
+        # training on one label runs; a one-label model file loads and
+        # decodes, and its one labeling scores the whole partition
+        dataset = [([["a"], ["b", "a"]], ["O", "O"]), ([["b"]], ["O"])]
+        assert train(dataset, labels=("O",)).labels == ("O",)
+        state, trans = np.array([[0.5], [-1.25]]), np.array([[0.75]])
+        buf = io.StringIO()
+        save_model(CrfModel(("O",), {"a": 0, "b": 1}, state, trans, FeatureConfig()), buf)
+        model = load_model(buf.getvalue())
+        assert score_sequence(model, *dataset[0]) == 0.5
+        for attrs, labels in dataset:
+            path, score = viterbi(model, attrs)
+            assert path == labels
+            assert score == pytest.approx(score_sequence(model, attrs, labels))
+            assert log_partition(model, attrs) == pytest.approx(score)
 
 
 # "天" and "地" list the same classes in either order, "玄" one class twice
@@ -549,10 +559,11 @@ class TestEncoder:
 
     def test_train_memory_scales_with_total_positions(self):
         # the decode memory test's corpus and 86 template columns at k=10,
-        # with 377,768 distinct attributes: their strings, the index and the
-        # weight arrays take most of the peak. Training on the attribute
-        # lists of every position, as featurize_chars renders them, peaks
-        # at 147 MB; on the batch's columns at 140 MB.
+        # with 377,768 distinct attributes: their strings, the index, the
+        # firing operator and the weight arrays take most of the peak.
+        # Training on the attribute lists of every position, as
+        # featurize_chars renders them, peaks at 147.0 MB; on the batch's
+        # columns at 136.7 MB, the same in every run (numpy 2.4, Python 3.11).
         rng = random.Random(36)
         alphabet = [chr(0x4E00 + i) for i in range(300)]
         rhymes = RhymeDictionary(
@@ -575,7 +586,7 @@ class TestEncoder:
         finally:
             tracemalloc.stop()
         assert model.meta.iterations == 1
-        assert peak < 143 * 2**20
+        assert peak < 142 * 2**20
 
 
 class TestObjectiveAndGradient:
