@@ -176,7 +176,7 @@ def _forward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray
     return alpha
 
 
-def _fold_operands(pairs: np.ndarray, add) -> tuple[np.ndarray, list[np.ndarray]]:
+def _fold_operands(pairs: np.ndarray, add: np.ufunc) -> tuple[np.ufunc, list[np.ndarray]]:
     """(ufunc, views) of a step that folds pairs[:, i] over the labels i
     with `add`. A fold takes two operands at least, so a lone label's view
     is listed twice and folded with np.maximum, which returns it bit for bit."""
