@@ -34,7 +34,7 @@ to verify against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -44,6 +44,10 @@ from .features import FeatureConfig
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
 MODEL_FORMAT_VERSION = "crfmodel-v1"
+# load_model parses a section in pieces of about this many characters: big
+# enough that numpy's per-call cost vanishes, small enough that one piece's
+# fields stay a fraction of the model
+LOAD_CHUNK_CHARS = 1 << 16
 
 
 class TrainingError(RuntimeError):
@@ -725,36 +729,110 @@ def save_model(model: CrfModel, sink: TextIO) -> None:
     sink.write("end\n")
 
 
+def _columns(piece: str, lines: int, width: int) -> list[list[str]]:
+    """The `width` columns of the `lines` tab-separated lines of `piece`.
+
+    One split: every line break becomes a field of its own, so a row is
+    `width` fields and a break, and a line with another field count moves
+    a break off its place."""
+    flat = piece.replace("\n", "\t\n\t").split("\t")
+    step = width + 1
+    if len(flat) != step * lines - 1 or flat[width::step].count("\n") != lines - 1:
+        raise ValueError(f"expected {width} tab-separated fields")
+    return [flat[i::step] for i in range(width)]
+
+
 def load_model(source: str | TextIO) -> CrfModel:
+    """Read a model that save_model wrote.
+
+    The file is lines of tab-separated fields: the version header,
+    `labels` and the label names, `config` with the feature spec and k,
+    `meta` with the training facts (or `none`), then three counted
+    sections and `end`. `attrs n` is followed by n lines `id name`, the ids
+    0..n-1 in order; `state m` by m lines `attr_id label weight`, the
+    nonzero state weights; `trans L²` by one line `label label weight` per
+    label pair.
+
+    The header lines are read one at a time. The sections are cut into
+    pieces of about LOAD_CHUNK_CHARS characters, ending on a line break;
+    each piece is split once and converted one column at a time with numpy,
+    so besides the text and the model the parse holds one piece's fields.
+    A piece that fails a check is read again line by line to name the first
+    bad line.
+
+    Raises ModelFormatError, with the line number, for another version, a
+    truncated file, repeated label names, a section line with the wrong
+    number of fields, attribute ids out of order, a repeated or empty
+    attribute name, a state attribute id out of range, a label not in the
+    label list, a repeated (attribute, label) or (label, label) entry, a
+    weight that is not a finite number, and a trans section that does not
+    hold every label pair.
+    """
     text = source if isinstance(source, str) else source.read()
-    lines = text.split("\n")
-    cursor = 0
+    pos = lineno = 0
 
-    def take(what: str) -> tuple[int, str]:
-        nonlocal cursor
-        if cursor >= len(lines):
+    def take(what: str) -> str:
+        nonlocal pos, lineno
+        if pos > len(text):
             raise ModelFormatError(f"truncated model file: missing {what}")
-        cursor += 1
-        return cursor, lines[cursor - 1]
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        line, pos, lineno = text[pos:end], end + 1, lineno + 1
+        return line
 
-    _, header = take("version header")
-    if header != MODEL_FORMAT_VERSION:
+    def section_count(name: str) -> int:
+        fields = take(f"{name} section").split("\t")
+        if fields[0] != name or len(fields) != 2:
+            raise ModelFormatError(f"line {lineno}: expected {name} section header")
+        try:
+            count = int(fields[1])
+        except ValueError:
+            raise ModelFormatError(f"line {lineno}: bad {name} count {fields[1]!r}")
+        if count < 0:
+            raise ModelFormatError(f"line {lineno}: bad {name} count {count}")
+        return count
+
+    def section(count: int, what: str, width: int, add: Callable[[list[list[str]]], None]) -> None:
+        """Hand the next `count` lines to `add` as columns, a piece at a time.
+        An `add` that raises leaves the model as it found it."""
+        nonlocal pos, lineno
+        while count:
+            if pos > len(text):
+                raise ModelFormatError(f"truncated model file: missing {what}")
+            end = text.find("\n", pos + LOAD_CHUNK_CHARS)
+            piece = text[pos:end] if end >= 0 else text[pos:]
+            lines = piece.count("\n") + 1
+            if lines > count:  # the section ends inside the piece
+                piece = piece[: len(piece) - len(piece.split("\n", count)[-1]) - 1]
+                lines = count
+            try:
+                add(_columns(piece, lines, width))
+            except (ValueError, OverflowError):
+                for number, line in enumerate(piece.split("\n"), lineno + 1):
+                    try:
+                        add(_columns(line, 1, width))
+                    except (ValueError, OverflowError) as exc:
+                        raise ModelFormatError(f"line {number}: bad {what} {line!r}: {exc}") from None
+                raise
+            pos += len(piece) + 1
+            lineno += lines
+            count -= lines
+
+    if (header := take("version header")) != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model version {header!r}")
-    lineno, label_line = take("label list")
-    fields = label_line.split("\t")
-    if fields[0] != "labels" or len(fields) < 2:
-        raise ModelFormatError(f"line {lineno}: expected label list")
+    fields = take("label list").split("\t")
     labels = tuple(fields[1:])
-    lineno, config_line = take("config line")
-    fields = config_line.split("\t")
+    if fields[0] != "labels" or not labels or len(set(labels)) < len(labels):
+        raise ModelFormatError(f"line {lineno}: expected a list of distinct labels")
+    fields = take("config line").split("\t")
     if fields[0] != "config" or len(fields) != 3:
         raise ModelFormatError(f"line {lineno}: expected config line")
     try:
         config = FeatureConfig.from_spec(fields[1], k=int(fields[2]))
     except ValueError as exc:
         raise ModelFormatError(f"line {lineno}: {exc}")
-    lineno, meta_line = take("meta line")
-    fields = meta_line.split("\t")
+    fields = take("meta line").split("\t")
     if fields[0] != "meta":
         raise ModelFormatError(f"line {lineno}: expected meta line")
     meta: Optional[TrainMeta] = None
@@ -769,52 +847,67 @@ def load_model(source: str | TextIO) -> CrfModel:
         except (KeyError, ValueError):
             raise ModelFormatError(f"line {lineno}: malformed meta line")
 
-    def section_count(name: str) -> int:
-        lineno, line = take(f"{name} section")
-        fields = line.split("\t")
-        if fields[0] != name or len(fields) != 2:
-            raise ModelFormatError(f"line {lineno}: expected {name} section header")
-        try:
-            count = int(fields[1])
-        except ValueError:
-            raise ModelFormatError(f"line {lineno}: bad {name} count {fields[1]!r}")
-        if count < 0:
-            raise ModelFormatError(f"line {lineno}: bad {name} count {count}")
-        return count
-
     attr_index: dict[str, int] = {}
-    for _ in range(section_count("attrs")):
-        lineno, line = take("attribute entry")
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[1]:
-            raise ModelFormatError(f"line {lineno}: bad attribute entry {line!r}")
-        try:
-            attr_id = int(fields[0])
-        except ValueError:
-            raise ModelFormatError(f"line {lineno}: bad attribute id {fields[0]!r}")
-        if fields[1] in attr_index or attr_id != len(attr_index):
-            raise ModelFormatError(f"line {lineno}: attribute ids must be dense and unique")
-        attr_index[fields[1]] = attr_id
+
+    def add_attrs(columns: list[list[str]]) -> None:
+        ids, names = columns
+        start, stop = len(attr_index), len(attr_index) + len(names)
+        if not np.array_equal(np.array(ids, dtype=np.int64), np.arange(start, stop)):
+            raise ValueError(f"attribute ids must count up from {start}")
+        if "" in names:
+            raise ValueError("empty attribute name")
+        attr_index.update(zip(names, range(start, stop)))
+        if len(attr_index) < stop:
+            # a repeated name: restore the names before the piece (an update
+            # keeps a name's place and changes its id)
+            kept = list(attr_index)[:start]
+            attr_index.clear()
+            attr_index.update(zip(kept, range(start)))
+            raise ValueError("repeated attribute name")
+
+    section(section_count("attrs"), "attribute entry", 2, add_attrs)
     label_pos = {l: i for i, l in enumerate(labels)}
-    state = np.zeros((len(attr_index), len(labels)))
-    for _ in range(section_count("state")):
-        lineno, line = take("state weight")
-        fields = line.split("\t")
+    n_labels = len(labels)
+
+    def label_ids(names: list[str]) -> np.ndarray:
         try:
-            attr_id = int(fields[0])
-            label_id = label_pos[fields[1]]
-            state[attr_id, label_id] = float(fields[2])
-        except (IndexError, KeyError, ValueError):
-            raise ModelFormatError(f"line {lineno}: bad state weight {line!r}")
-    trans = np.zeros((len(labels), len(labels)))
-    for _ in range(section_count("trans")):
-        lineno, line = take("transition weight")
-        fields = line.split("\t")
-        try:
-            trans[label_pos[fields[0]], label_pos[fields[1]]] = float(fields[2])
-        except (IndexError, KeyError, ValueError):
-            raise ModelFormatError(f"line {lineno}: bad transition weight {line!r}")
-    lineno, end_line = take("end marker")
-    if end_line != "end":
+            return np.array(list(map(label_pos.__getitem__, names)), dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"unknown label {exc}") from None
+
+    def attr_ids(ids: list[str]) -> np.ndarray:
+        rows = np.array(ids, dtype=np.int64)
+        if rows.min() < 0 or rows.max() >= len(attr_index):
+            raise ValueError("attribute id out of range")
+        return rows
+
+    def weights(
+        matrix: np.ndarray, row_ids: Callable[[list[str]], np.ndarray]
+    ) -> Callable[[list[list[str]]], None]:
+        """An `add` for section() that scatters weights into `matrix`, each
+        (row, label) once."""
+        flat, seen = matrix.reshape(-1), np.zeros(matrix.size, dtype=bool)
+
+        def add(columns: list[list[str]]) -> None:
+            rows, cols, values = columns
+            keys = row_ids(rows) * n_labels + label_ids(cols)
+            w = np.array(values, dtype=float)
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weight is not a finite number")
+            ordered = np.sort(keys)
+            if seen[keys].any() or np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("repeated entry")
+            seen[keys] = True
+            flat[keys] = w
+
+        return add
+
+    state = np.zeros((len(attr_index), n_labels))
+    section(section_count("state"), "state weight", 3, weights(state, attr_ids))
+    trans = np.zeros((n_labels, n_labels))
+    if (count := section_count("trans")) != trans.size:
+        raise ModelFormatError(f"line {lineno}: trans section must hold all {trans.size} label pairs")
+    section(count, "transition weight", 3, weights(trans, label_ids))
+    if take("end marker") != "end":
         raise ModelFormatError(f"line {lineno}: expected end marker")
     return CrfModel(labels, attr_index, state, trans, config, meta)

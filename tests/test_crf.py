@@ -928,6 +928,102 @@ class TestModelIO:
         assert np.array_equal(back.state_weights, m.state_weights)
         assert np.array_equal(back.trans_weights, m.trans_weights)
 
+    # each edit breaks a saved two-attribute model at the line `bad`, which
+    # the error must name
+    @pytest.mark.parametrize(
+        "old, new, bad",
+        [
+            ("attrs\t2\n0\ta\n1\tb\n", "attrs\t3\n0\ta\n1\tb\n2\ta\n", "2\ta"),
+            ("\n0\ta\n1\tb\n", "\n0\n1\t1\tb\n", "0"),
+            ("\n1\tb\n", "\n1\t\n", "1\t"),
+            ("\n1\tO\t0.25\n", "\n-1\tO\t0.25\n", "-1\tO\t0.25"),
+            ("\n1\tO\t0.25\n", "\n1\tO\t0.25\t7\n", "1\tO\t0.25\t7"),
+            ("state\t3\n0\tO\t0.5\n", "state\t4\n0\tO\t0.5\n0\tO\t0.125\n", "0\tO\t0.125"),
+            ("trans\t4\nO\tO\t0\nO\tM\t0\nM\tO\t0\nM\tM\t0\n", "trans\t1\nO\tO\t0\n", "trans\t1"),
+            ("\nM\tO\t0\n", "\nO\tO\t0.5\n", "O\tO\t0.5"),
+            ("\n1\tO\t0.25\n", "\n1\tO\tnan\n", "1\tO\tnan"),
+            ("\n1\tO\t0.25\n", "\n1\tO\t-inf\n", "1\tO\t-inf"),
+        ],
+        ids=["repeated-name", "fields-across-lines", "empty-name",
+             "negative-id", "fourth-field", "repeated-entry", "one-trans-pair",
+             "repeated-trans-pair", "nan-weight", "inf-weight"],
+    )
+    def test_malformed_section_reports_line(self, old, new, bad):
+        sink = io.StringIO()
+        save_model(make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]]), sink)
+        assert old in sink.getvalue()
+        text = sink.getvalue().replace(old, new, 1)
+        lineno = text.split("\n").index(bad) + 1
+        with pytest.raises(ModelFormatError, match=f"^line {lineno}:"):
+            load_model(text)
+
+    # pieces of a few characters split every section several times; the
+    # names mix in line breaks other than \n, which the reader must not split
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunk=st.integers(0, 48),
+        labels=st.lists(st.text(st.characters(exclude_characters="\t\n"), min_size=1, max_size=3),
+                        min_size=1, max_size=3, unique=True),
+        names=st.lists(
+            st.text(st.one_of(st.sampled_from("\u2028\r\x85\U00020000"),
+                              st.characters(exclude_characters="\t\n")),
+                     min_size=1, max_size=6),
+            max_size=12, unique=True),
+        data=st.data(),
+    )
+    def test_round_trip_across_pieces(self, chunk, labels, names, data):
+        weight = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -1e-310, 1e308, -1e308]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        L = len(labels)
+        state = np.array(data.draw(st.lists(weight, min_size=len(names) * L,
+                                            max_size=len(names) * L))).reshape(len(names), L)
+        trans = np.array(data.draw(st.lists(weight, min_size=L * L, max_size=L * L))).reshape(L, L)
+        model = CrfModel(tuple(labels), {n: i for i, n in enumerate(names)}, state, trans,
+                         FeatureConfig())
+        sink = io.StringIO()
+        save_model(model, sink)
+        text = sink.getvalue()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crf, "LOAD_CHUNK_CHARS", chunk)
+            back = load_model(text)
+            assert list(back.attr_index.items()) == list(model.attr_index.items())
+            # the file keeps the nonzero state weights only, so -0.0 reads back as 0.0
+            assert np.array_equal(back.state_weights.view(np.int64), (state + 0.0).view(np.int64))
+            assert np.array_equal(back.trans_weights.view(np.int64), trans.view(np.int64))
+
+            lines = text.split("\n")
+            header = next(i for i, line in enumerate(lines) if line.startswith("state\t"))
+            count = int(lines[header].split("\t")[1])
+            if count:
+                j = data.draw(st.integers(0, count - 1))
+                attr_id, label, value = lines[header + 1 + j].split("\t")
+                edits = [f"{attr_id}\t{label}\tnan", f"{len(names)}\t{label}\t{value}",
+                         f"{attr_id}\t{label}\t{value}\t0", f"{attr_id}\t{label}"]
+                if j:
+                    first_id, first_label, _ = lines[header + 1].split("\t")
+                    edits.append(f"{first_id}\t{first_label}\t{value}")
+                lines[header + 1 + j] = data.draw(st.sampled_from(edits))
+                with pytest.raises(ModelFormatError, match=f"^line {header + 2 + j}:"):
+                    load_model("\n".join(lines))
+
+    def test_load_peak_stays_near_model_size(self):
+        # a whole-section field list (3 strings per state line) would hold
+        # more than the model itself; one piece at a time holds little
+        rng = np.random.default_rng(34)
+        attrs = [f"w[0]={chr(0x4E00 + i % 20000)}{i}" for i in range(30_000)]
+        state = rng.normal(size=(len(attrs), 2))
+        sink = io.StringIO()
+        save_model(make_model(attrs, state, rng.normal(size=(2, 2))), sink)
+        text = sink.getvalue()
+        tracemalloc.start()
+        try:
+            model = load_model(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.attr_index) == len(attrs)
+        assert peak < 1.5 * retained
+
 
 class TestModelValidation:
     def test_state_shape_checked(self):
