@@ -765,8 +765,8 @@ def load_model(source: str | TextIO) -> CrfModel:
     number of fields, attribute ids out of order, a repeated or empty
     attribute name, a state attribute id out of range, a label not in the
     label list, a repeated (attribute, label) or (label, label) entry, a
-    weight that is not a finite number, and a trans section that does not
-    hold every label pair.
+    weight that is not a finite number, a trans section that does not hold
+    every label pair, and any text after the `end` line.
     """
     text = source if isinstance(source, str) else source.read()
     pos = lineno = 0
@@ -910,4 +910,6 @@ def load_model(source: str | TextIO) -> CrfModel:
     section(count, "transition weight", 3, weights(trans, label_ids))
     if take("end marker") != "end":
         raise ModelFormatError(f"line {lineno}: expected end marker")
+    if pos < len(text):
+        raise ModelFormatError(f"line {lineno + 1}: text after the end marker")
     return CrfModel(labels, attr_index, state, trans, config, meta)

@@ -3,7 +3,11 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +372,58 @@ class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def run_fresh(code, **env):
+    """Run `code` in a new interpreter on this checkout's src and return its
+    stdout as JSON. The environment leaves out OPENBLAS_NUM_THREADS, which
+    this process gains once any test imports gujiseg.cli."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**base, "PYTHONPATH": str(src), **env},
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(done.stdout)
+
+
+class TestImportCost:
+    def test_library_import_loads_no_numpy(self):
+        out = run_fresh(
+            "import gujiseg, gujiseg.corpus, json, os, sys; "
+            "print(json.dumps(['numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')]))"
+        )
+        assert out == [False, None]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+    def test_cli_runs_one_thread(self):
+        out = run_fresh(
+            "import gujiseg.cli, json, os; "
+            "print(json.dumps([len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS']]))"
+        )
+        assert out == [1, "1"]
+
+    def test_caller_thread_setting_wins(self):
+        out = run_fresh(
+            "import gujiseg.cli, json, os; print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert out == "2"
+
+    def test_public_names_resolve_on_access(self):
+        out = run_fresh(
+            "import json\n"
+            "names = {}\n"
+            "exec('from gujiseg import *', names)\n"
+            "import gujiseg\n"
+            "try:\n"
+            "    gujiseg.no_such_name\n"
+            "    unknown = 'resolved'\n"
+            "except AttributeError as exc:\n"
+            "    unknown = str(exc)\n"
+            "print(json.dumps([gujiseg.__all__, sorted(names), dir(gujiseg), unknown]))"
+        )
+        public, bound, listed, unknown = out
+        assert set(public) <= set(bound)
+        assert set(public) <= set(listed)
+        assert unknown == "module 'gujiseg' has no attribute 'no_such_name'"

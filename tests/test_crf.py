@@ -943,10 +943,11 @@ class TestModelIO:
             ("\nM\tO\t0\n", "\nO\tO\t0.5\n", "O\tO\t0.5"),
             ("\n1\tO\t0.25\n", "\n1\tO\tnan\n", "1\tO\tnan"),
             ("\n1\tO\t0.25\n", "\n1\tO\t-inf\n", "1\tO\t-inf"),
+            ("\nend\n", "\nend\nattrs\t1\n0\tb\n", "attrs\t1"),
         ],
         ids=["repeated-name", "fields-across-lines", "empty-name",
              "negative-id", "fourth-field", "repeated-entry", "one-trans-pair",
-             "repeated-trans-pair", "nan-weight", "inf-weight"],
+             "repeated-trans-pair", "nan-weight", "inf-weight", "text-after-end"],
     )
     def test_malformed_section_reports_line(self, old, new, bad):
         sink = io.StringIO()
