@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 # gujiseg makes no BLAS call, but numpy's OpenBLAS starts a worker thread on
-# import that spins on a second core until it times out: about 0.14 s of CPU
+# import that spins on a second core until it times out: about 0.13 s of CPU
 # per process on 2 cores. Set before the imports below load numpy; a value the
 # caller set wins. Only the CLI sets it, so importing the library changes no
 # environment.
