@@ -26,48 +26,7 @@ _SOURCES = {
 }
 _SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "DEFAULT_BOUNDARY",
-    "DEFAULT_DISCARD",
-    "LABELS",
-    "M",
-    "O",
-    "CorpusStats",
-    "Document",
-    "EmptySequenceError",
-    "LabeledSequence",
-    "corpus_stats",
-    "filter_short",
-    "labelize",
-    "parse_corpus",
-    "CrfModel",
-    "TrainConfig",
-    "load_model",
-    "save_model",
-    "train",
-    "viterbi",
-    "ExperimentResult",
-    "Metrics",
-    "SplitSpec",
-    "evaluate",
-    "run_experiment",
-    "split",
-    "FeatureConfig",
-    "Instance",
-    "extract_features",
-    "extract_instances",
-    "featurize_chars",
-    "EntityLexicon",
-    "LexiconSet",
-    "PmiTable",
-    "RhymeDictionary",
-    "build_pmi_table",
-    "load_entity_lexicon",
-    "load_rhyme_dict",
-    "pmi_bin",
-    "tag_entities",
-]
+__all__ = ["__version__", *_SOURCE_OF]
 
 
 def __getattr__(name: str):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 
 # gujiseg makes no BLAS call, but numpy's OpenBLAS starts a worker thread on
 # import that spins on a second core until it times out: about 0.13 s of CPU
-# per process on 2 cores. Set before the imports below load numpy; a value the
+# per process on 2 cores. Set before any command loads numpy; a value the
 # caller set wins. Only the CLI sets it, so importing the library changes no
 # environment.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -44,16 +45,6 @@ from .corpus import (
     reinsert_marks,
     write_labeled_corpus,
 )
-from .crf import TrainConfig, TrainingError, load_model, save_model, train
-from .evaluation import (
-    SplitError,
-    SplitSpec,
-    evaluate,
-    predict_labels,
-    run_experiment,
-    training_set,
-)
-from .features import FeatureConfig, featurize_chars
 from .lexicons import (
     LexiconFormatError,
     LexiconSet,
@@ -63,6 +54,20 @@ from .lexicons import (
     load_rhyme_dict,
     save_pmi_table,
 )
+
+# The names this module uses from the modules that load numpy. main binds
+# them into the globals before a command outside _NUMPY_FREE runs, and
+# attribute access (`cli.train`) binds them through __getattr__ (PEP 562).
+# Binding never replaces a value already set on the module, such as a
+# wrapper around `cli.train`.
+_NUMERIC = {
+    "crf": ("TrainConfig", "TrainingError", "load_model", "save_model", "train"),
+    "evaluation": ("SplitError", "SplitSpec", "evaluate", "predict_labels", "run_experiment",
+                   "training_set"),
+    "features": ("FeatureConfig", "featurize_chars"),
+}
+# Commands that need only the standard library, corpus and lexicons.
+_NUMPY_FREE = frozenset({"prepare", "pmi-build"})
 
 logger = logging.getLogger("gujiseg")
 
@@ -77,6 +82,21 @@ TABLE2_WIDTHS = (1, 2, 3, 4)
 
 class ConfigurationError(ValueError):
     """Bad flag combinations (missing lexicons and the like)."""
+
+
+def _bind_numeric() -> None:
+    bound = globals()
+    for module, names in _NUMERIC.items():
+        source = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            bound.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    if not any(name in names for names in _NUMERIC.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_numeric()
+    return globals()[name]
 
 
 def _sha256(path: str) -> str:
@@ -429,9 +449,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                         format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    numeric = args.command not in _NUMPY_FREE
+    if numeric:
+        _bind_numeric()
+    # Only a numeric command can raise these, and it has bound them.
+    failures = (TrainingError, SplitError) if numeric else ()
     try:
         return args.func(args)
-    except (TrainingError, SplitError) as exc:
+    except failures as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CorpusFormatError, LexiconFormatError, ConfigurationError,

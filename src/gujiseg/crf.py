@@ -416,24 +416,8 @@ def viterbi(
     canonical order, decided left to right: a backward pass computes best
     suffix scores, then a forward pass takes the first argmax at each step.
     """
-    return viterbi_batch(model, [attrs])[0]
-
-
-def viterbi_batch(
-    model: CrfModel, attr_seqs: Iterable[Sequence[Sequence[str]]]
-) -> list[tuple[list[str], float]]:
-    """viterbi() of every sequence given as attribute lists, decoded
-    together by viterbi_emissions.
-
-    Each sequence is reduced to its emissions as soon as it is drawn from
-    `attr_seqs`, so its attribute lists can be dropped before the next one
-    is featurized.
-    """
-    emis_seqs = [_state_scores(model, attrs) for attrs in attr_seqs]
-    lengths = np.array([len(e) for e in emis_seqs], dtype=np.int64)
-    emis = np.concatenate(emis_seqs) if emis_seqs else np.zeros((0, len(model.labels)))
-    del emis_seqs
-    return viterbi_emissions(model, emis, lengths)
+    lengths = np.array([len(attrs)])
+    return viterbi_emissions(model, _state_scores(model, attrs), lengths)[0]
 
 
 def viterbi_emissions(

@@ -226,6 +226,12 @@ def pmi_bin(value: float | None) -> str:
 
 
 def save_pmi_table(table: PmiTable, sink: TextIO) -> None:
+    """Write a table that load_pmi_table reads back bit for bit, or raise
+    ValueError for one it would reject."""
+    if len(table.pmi) > table.total_bigrams:
+        raise ValueError(
+            f"PMI table lists {len(table.pmi)} pairs under a total of {table.total_bigrams}"
+        )
     sink.write(f"#N={table.total_bigrams}\n")
     for (a, b), value in sorted(table.pmi.items()):
         if len(a) != 1 or len(b) != 1:
@@ -233,11 +239,18 @@ def save_pmi_table(table: PmiTable, sink: TextIO) -> None:
         pair = a + b
         if "\t" in pair or "\n" in pair:
             raise ValueError(f"PMI pair {pair!r} contains a separator")
+        if not math.isfinite(value):
+            raise ValueError(f"PMI pair {pair!r} has value {value!r}, which is not finite")
         sink.write(f"{pair}\t{value:.17g}\n")
 
 
 def load_pmi_table(source: str | TextIO) -> PmiTable:
-    """Read a PMI TSV back; every stored pair is kept."""
+    """Read a PMI TSV back; every stored pair is kept.
+
+    Errors name the line: a negative total, more pairs than the total (each
+    pair occurs at least once among the total's adjacent pairs), a value that
+    is not a finite number, a repeated pair.
+    """
     text = source if isinstance(source, str) else source.read()
     lines = text.split("\n")
     if not lines[0].startswith("#N="):
@@ -245,6 +258,8 @@ def load_pmi_table(source: str | TextIO) -> PmiTable:
     try:
         total = int(lines[0][3:])
     except ValueError:
+        total = -1
+    if total < 0:
         raise LexiconFormatError(f"PMI table line 1: bad total {lines[0]!r}")
     pmi: dict[tuple[str, str], float] = {}
     for lineno, line in enumerate(lines[1:], 2):
@@ -256,8 +271,17 @@ def load_pmi_table(source: str | TextIO) -> PmiTable:
         try:
             value = float(fields[1])
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise LexiconFormatError(
-                f"PMI table line {lineno}: bad value {fields[1]!r}"
+                f"PMI table line {lineno}: value {fields[1]!r} is not a finite number"
             )
-        pmi[(fields[0][0], fields[0][1])] = value
+        pair = (fields[0][0], fields[0][1])
+        if pair in pmi:
+            raise LexiconFormatError(f"PMI table line {lineno}: repeated pair {fields[0]!r}")
+        if len(pmi) == total:
+            raise LexiconFormatError(
+                f"PMI table line {lineno}: more pairs than the total of {total}"
+            )
+        pmi[pair] = value
     return PmiTable(total, pmi)

@@ -374,6 +374,25 @@ class TestParser:
             main([])
 
 
+def run_cli_fresh(argvs, setup=""):
+    """Run each argv through gujiseg.cli.main in one new interpreter, after
+    `setup`; return the exit codes, the stderr text and whether numpy was
+    loaded. stdout is dropped."""
+    return run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from gujiseg import cli\n"
+        f"{setup}\n"
+        "codes, err = [], io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        f"    for argv in {argvs!r}:\n"
+        "        try:\n"
+        "            codes.append(cli.main(argv))\n"
+        "        except SystemExit as exc:\n"
+        "            codes.append(exc.code)\n"
+        "print(json.dumps([codes, err.getvalue(), 'numpy' in sys.modules]))"
+    )
+
+
 def run_fresh(code, **env):
     """Run `code` in a new interpreter on this checkout's src and return its
     stdout as JSON. The environment leaves out OPENBLAS_NUM_THREADS, which
@@ -397,11 +416,13 @@ class TestImportCost:
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
     def test_cli_runs_one_thread(self):
+        # resolving a numeric name loads numpy the way train and punctuate do
         out = run_fresh(
-            "import gujiseg.cli, json, os; "
-            "print(json.dumps([len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS']]))"
+            "import gujiseg.cli, json, os, sys; gujiseg.cli.train; "
+            "print(json.dumps(['numpy' in sys.modules, len(os.listdir('/proc/self/task')), "
+            "os.environ['OPENBLAS_NUM_THREADS']]))"
         )
-        assert out == [1, "1"]
+        assert out == [True, 1, "1"]
 
     def test_caller_thread_setting_wins(self):
         out = run_fresh(
@@ -427,3 +448,52 @@ class TestImportCost:
         assert set(public) <= set(bound)
         assert set(public) <= set(listed)
         assert unknown == "module 'gujiseg' has no attribute 'no_such_name'"
+
+    def test_numpy_free_commands(self, tmp_path):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("天地玄黃，宇宙洪荒。日月盈昃，辰宿列張。\n" * 3, encoding="utf-8")
+        corpus, table = str(tmp_path / "c.tsv"), str(tmp_path / "pmi.tsv")
+        codes, _, numpy_loaded = run_cli_fresh([
+            ["--version"],
+            ["--help"],
+            ["prepare", str(raw), "-o", corpus, "--min-length", "5"],
+            ["pmi-build", corpus, "-o", table, "--min-count", "1"],
+        ])
+        assert codes == [0, 0, 0, 0]
+        assert not numpy_loaded
+        assert load_pmi_table(Path(table).read_text(encoding="utf-8")).pmi
+
+    def test_prepare_errors_exit_2_without_numpy(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("天地".encode() + b"\xff\n")
+        out = str(tmp_path / "o.tsv")
+        codes, err, numpy_loaded = run_cli_fresh([
+            ["prepare", str(tmp_path / "absent.txt"), "-o", out],
+            ["prepare", str(bad), "-o", out],
+        ])
+        assert codes == [2, 2]
+        assert "error: [Errno 2] No such file or directory" in err
+        assert "invalid UTF-8 at byte offset 6" in err
+        assert not numpy_loaded
+
+    def test_split_error_exits_1(self, rule_docs, tmp_path):
+        corpus = write_labeled(tmp_path / "one.tsv", rule_docs[:1])
+        codes, err, _ = run_cli_fresh([
+            ["sweep", corpus, "-o", str(tmp_path / "r.csv"), "--k-min", "1", "--k-max", "1"],
+        ])
+        assert codes == [1]
+        assert "error: need at least 2 documents to split, got 1" in err
+
+    def test_training_error_exits_1(self, rule_docs, tmp_path):
+        # set before main binds the numeric names, which must keep it
+        setup = (
+            "def diverge(*args):\n"
+            "    raise cli.TrainingError('objective diverged at step size 1')\n"
+            "cli.train = diverge"
+        )
+        corpus = write_labeled(tmp_path / "c.tsv", rule_docs[:5])
+        codes, err, _ = run_cli_fresh(
+            [["train", corpus, "-o", str(tmp_path / "m.txt")]], setup
+        )
+        assert codes == [1]
+        assert "error: objective diverged at step size 1" in err

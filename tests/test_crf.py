@@ -29,7 +29,7 @@ from gujiseg.crf import (
     score_sequence,
     train,
     viterbi,
-    viterbi_batch,
+    viterbi_emissions,
 )
 from gujiseg.evaluation import predict_labels, training_set
 from gujiseg.features import FeatureConfig, feature_columns, featurize_chars
@@ -240,6 +240,12 @@ class TestViterbi:
                 )
 
 
+def decode_batch(model, batch):
+    """viterbi_emissions over the batch's emissions laid end to end."""
+    emis = np.concatenate([crf._state_scores(model, attrs) for attrs in batch])
+    return viterbi_emissions(model, emis, np.array([len(attrs) for attrs in batch]))
+
+
 class TestViterbiBatch:
     # integer weights force exact ties, which must break as in viterbi()
 
@@ -258,7 +264,7 @@ class TestViterbiBatch:
             random_attrs(random.Random(seed), m, tmin=length, tmax=length)
             for length, seed in specs
         ]
-        decoded = viterbi_batch(m, iter(batch))
+        decoded = decode_batch(m, batch)
         assert len(decoded) == len(batch)
         for attrs, (labels, score) in zip(batch, decoded):
             bids, bscore = brute_viterbi(m, attrs)
@@ -267,7 +273,7 @@ class TestViterbiBatch:
             assert all(type(label) is str for label in labels)
             assert viterbi(m, attrs) == (labels, score)
         perm = data.draw(st.permutations(range(len(batch))))
-        assert viterbi_batch(m, [batch[i] for i in perm]) == [decoded[i] for i in perm]
+        assert decode_batch(m, [batch[i] for i in perm]) == [decoded[i] for i in perm]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -289,11 +295,13 @@ class TestViterbiBatch:
         assert all(type(label) is str for labels in preds for label in labels)
 
     def test_empty_batch(self):
-        assert viterbi_batch(make_model(), iter([])) == []
+        assert viterbi_emissions(make_model(), np.zeros((0, 2)), np.zeros(0, dtype=np.int64)) == []
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty sequence"):
-            viterbi_batch(make_model(), [[["a"]], []])
+            decode_batch(make_model(), [[["a"]], []])
+        with pytest.raises(ValueError, match="empty sequence"):
+            viterbi(make_model(), [])
 
 
 RICH_LEX = LexiconSet(

@@ -15,6 +15,7 @@ from gujiseg.lexicons import (
     EntityLexicon,
     LexiconFormatError,
     LexiconSet,
+    PmiTable,
     build_pmi_table,
     load_entity_lexicon,
     load_pmi_table,
@@ -262,6 +263,47 @@ class TestPmiIO:
     def test_bad_value(self):
         with pytest.raises(LexiconFormatError, match="line 2"):
             load_pmi_table("#N=3\n天月\txyz\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("#N=3\n天月\tnan\n", 2),
+            ("#N=3\n天月\t1.5\n月天\tinf\n", 3),
+            ("#N=3\n天月\t-inf\n", 2),
+            ("#N=-1\n", 1),
+            ("#N=\n", 1),
+            ("#N=0\n天月\t1.5\n", 2),
+            ("#N=1\n天月\t1.5\n月天\t0.5\n", 3),
+            ("#N=3\n天月\t1.5\n月天\t0.5\n天月\t2.5\n", 4),
+        ],
+        ids=["nan", "inf", "-inf", "negative-total", "empty-total", "zero-total",
+             "pairs-over-total", "repeated-pair"],
+    )
+    def test_malformed_reports_line(self, text, lineno):
+        with pytest.raises(LexiconFormatError, match=f"line {lineno}:"):
+            load_pmi_table(text)
+
+    # A table save_pmi_table writes reads back bit for bit; it refuses
+    # exactly the tables load_pmi_table would reject.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        total=st.integers(-2, 2**63),
+        pmi=st.dictionaries(
+            st.tuples(*[st.characters(exclude_characters="\t\n")] * 2), st.floats(), max_size=6
+        ),
+    )
+    @example(total=0, pmi={})
+    @example(total=2, pmi={("天", "\u2028"): -0.0, ("\r", "𠀀"): 5e-324})
+    def test_what_save_writes_reads_back(self, total, pmi):
+        sink = io.StringIO()
+        if len(pmi) > total or not all(map(math.isfinite, pmi.values())):
+            with pytest.raises(ValueError):
+                save_pmi_table(PmiTable(total, pmi), sink)
+            return
+        save_pmi_table(PmiTable(total, pmi), sink)
+        back = load_pmi_table(sink.getvalue())
+        assert back.total_bigrams == total
+        assert {k: v.hex() for k, v in back.pmi.items()} == {k: v.hex() for k, v in pmi.items()}
 
 
 class TestLexiconSet:
