@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Data goes to stdout or to files; progress and warnings go to stderr. Every
-file-producing command drops a JSON manifest next to its output recording
-the command, flags, input digests, and split seed, so results stay traceable.
+Data goes to stdout or to files; progress and warnings go to stderr.
+prepare, train, sweep, ablate and pmi-build drop a JSON manifest next to
+their output recording the command, flags, input digests, and split seed,
+so results stay traceable; punctuate -o writes none.
 
 Exit codes: 0 success, 1 experiment-level failure, 2 usage/I-O error.
 """

@@ -18,13 +18,14 @@ Attribute columns are the one encoder input: (names, codes) pairs in
 canonical order over a batch laid end to end (features.feature_columns, or
 ColumnDataset for training). Training ranks every name by the first (row,
 column) where it occurs, which is the first-seen attribute order of the
-model file, and turns the codes into the CSR arrays of the attribute-firing
-operator _Firing (F @ w and F.T @ m in numpy alone). Attribute lists enter
-as slot columns, column s holding each row's s-th attribute, so
+model file, and looks the codes up into the attribute-firing operator
+_Firing, the ids each column fires at each packed row. Attribute lists
+enter as slot columns, column s holding each row's s-th attribute, so
 train(pairs), objective_and_gradient, viterbi, marginals, log_partition and
-score_sequence take the same path. Emissions outside training come from
-column_scores, which sums each row's weights in the order F @ w does;
-viterbi_emissions decodes them.
+score_sequence take the same path. One kernel, _gather_add, turns ids into
+emissions a column at a time: the held ids in training, columns streamed
+one by one in decoding (column_scores); viterbi_emissions decodes them. One
+helper, _posteriors, gives the marginals and the gradient's expectations.
 
 Training is full-batch gradient ascent on the L2-penalized log-likelihood
 with a backtracking (Armijo) line search: deterministic, monotone, and easy
@@ -33,6 +34,7 @@ to verify against finite differences.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
@@ -40,6 +42,7 @@ import numpy as np
 
 from .corpus import LABELS
 from .features import FeatureConfig
+from .lexicons import PLAIN_FLOAT, PLAIN_INT
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
@@ -279,59 +282,31 @@ def _build_attr_index(columns: Sequence[Column]) -> dict[str, int]:
     return index
 
 
-def _firing_csr(
-    columns: Sequence[Column], attr_index: dict[str, int], order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (cols, indptr) of the attribute-firing matrix whose row q
-    is row order[q] of the rows the columns cover: a row fires, column by
-    column, the id of its code's name. Names not in attr_index and code -1
-    fire nothing."""
-    lookups = [_lookup(attr_index, names, -1) for names, _ in columns]
-    fired = np.zeros(len(order), dtype=np.intp)
-    for ids, (_, codes) in zip(lookups, columns):
-        fired += ids[codes] >= 0
-    indptr = np.zeros(len(order) + 1, dtype=np.intp)
-    np.cumsum(fired[order], out=indptr[1:])
-    cols = np.empty(indptr[-1], dtype=np.intp)
-    # where the next entry of each row (in the columns' order) goes
-    slot = np.empty_like(fired)
-    slot[order] = indptr[:-1]
-    for ids, (_, codes) in zip(lookups, columns):
-        row_ids = ids[codes]
-        hit = row_ids >= 0
-        cols[slot[hit]] = row_ids[hit]
-        slot += hit
-    return cols, indptr
-
-
 class _Firing:
-    """The 0/1 attribute-firing matrix F [rows, n_attrs] whose row i fires
-    cols[indptr[i]:indptr[i+1]].
-
-    It offers the two products the CRF needs, both summed in CSR row order
-    from zero, so they equal a sparse-matrix product bit for bit:
-    scores(w) = F @ w and counts(m) = F.T @ m. For scores the rows are
-    ranked by how many attributes they fire, most first, so the rows that
-    fire an s-th attribute are a prefix and slot s adds into one slice.
+    """The 0/1 attribute-firing matrix F [rows, n_attrs] of attribute
+    columns, row q being row order[q] of the rows they cover, held as `ids`
+    [columns, rows]: the id column c fires at row q, n_attrs for none (an
+    unknown name or code -1). A row fires its ids in column order, F's CSR
+    row order, and both products sum in that order from zero, so they equal
+    a sparse-matrix product bit for bit: scores(w) = F @ w adds one gathered
+    column at a time (_gather_add), counts(m) = F.T @ m bincounts `cols`,
+    the fired ids row by row.
     """
 
-    def __init__(self, cols: np.ndarray, indptr: np.ndarray, n_attrs: int) -> None:
-        start, fired = indptr[:-1], np.diff(indptr)
-        self.n_attrs, self.nnz, self.fired, self.cols = n_attrs, len(cols), fired, cols
-        by_fired = np.argsort(-fired, kind="stable")
-        self.rank = np.empty_like(by_fired)
-        self.rank[by_fired] = np.arange(len(fired))
-        start = start[by_fired]
-        self.slots = [
-            cols[start[: np.count_nonzero(fired > s)] + s] for s in range(fired.max(initial=0))
-        ]
+    def __init__(
+        self, columns: Sequence[Column], attr_index: dict[str, int], order: np.ndarray
+    ) -> None:
+        self.n_attrs = n_attrs = len(attr_index)
+        self.ids = np.empty((len(columns), len(order)), dtype=np.intp)
+        for ids, (names, codes) in zip(self.ids, columns):
+            np.take(_lookup(attr_index, names, n_attrs), codes[order], out=ids)
+        fires = self.ids.T < n_attrs
+        self.cols, self.fired = self.ids.T[fires], np.count_nonzero(fires, axis=1)
+        self.nnz = len(self.cols)
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """F @ w for w [n_attrs, L]."""
-        out = np.zeros((len(self.fired), w.shape[1]))
-        for cols in self.slots:
-            out[: len(cols)] += np.take(w, cols, axis=0)
-        return np.take(out, self.rank, axis=0)
+        return _gather_add(w, self.ids, self.ids.shape[1])
 
     def counts(self, m: np.ndarray) -> np.ndarray:
         """F.T @ m for m [rows, L]."""
@@ -344,6 +319,17 @@ class _Firing:
         )
 
 
+def _gather_add(w: np.ndarray, id_columns: Iterable[np.ndarray], total: int) -> np.ndarray:
+    """Emissions [total, L]: each column of ids in turn adds to every row
+    the row of w [n_attrs, L] its id names; id n_attrs adds a zero row,
+    which leaves the sum exactly as it was."""
+    weights = np.vstack([w, np.zeros((1, w.shape[1]))])
+    emis = np.zeros((total, w.shape[1]))
+    for ids in id_columns:
+        emis += np.take(weights, ids, axis=0)
+    return emis
+
+
 def _state_scores(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray:
     """Emissions [T, L] of one sequence given as attribute lists: each row
     sums the weights of its known attributes in list order, starting from
@@ -353,17 +339,13 @@ def _state_scores(model: CrfModel, attrs: Sequence[Sequence[str]]) -> np.ndarray
 
 def column_scores(model: CrfModel, columns: Iterable[Column], total: int) -> np.ndarray:
     """Emissions [total, L] of a batch given as attribute columns
-    (features.feature_columns): each column's names are looked up in the
-    model once, and every row adds the state weights of its code's name.
-    Unknown names and code -1 add a zero row, which leaves a sum exactly as
-    it was, so a row sums the weights of its attribute list in list order,
-    bit for bit as the firing matrix's F @ w does."""
-    n_attrs, n_labels = model.state_weights.shape
-    weights = np.vstack([model.state_weights, np.zeros((1, n_labels))])
-    emis = np.zeros((total, n_labels))
-    for names, codes in columns:
-        emis += weights[_lookup(model.attr_index, names, n_attrs)[codes]]
-    return emis
+    (features.feature_columns), bit for bit as _Firing.scores: each column's
+    names are looked up in the model once, unknown names and code -1 fire
+    nothing, and the columns stream through _gather_add one at a time, so
+    one column's ids are held at once."""
+    n_attrs = len(model.attr_index)
+    ids = (np.take(_lookup(model.attr_index, names, n_attrs), codes) for names, codes in columns)
+    return _gather_add(model.state_weights, ids, total)
 
 
 def score_sequence(
@@ -398,15 +380,23 @@ def marginals(
     trans = model.trans_weights
     alpha = _forward(emis, trans, k, off)
     beta = _backward(emis, trans, k, off)
-    log_z = np.logaddexp.reduce(alpha[-1])
-    unary = np.exp(alpha + beta - log_z)
-    pairwise = np.exp(
-        alpha[:-1, :, None]
-        + trans[None, :, :]
-        + (emis[1:] + beta[1:])[:, None, :]
-        - log_z
+    log_z = np.full((len(attrs), 1), np.logaddexp.reduce(alpha[-1]))
+    return _posteriors(emis, alpha, beta, trans, log_z, np.arange(len(attrs) - 1))
+
+
+def _posteriors(
+    emis: np.ndarray, alpha: np.ndarray, beta: np.ndarray, trans: np.ndarray,
+    row_log_z: np.ndarray, prev: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(unary [rows, L], pair [len(prev), L, L]) posterior marginals of
+    packed rows, row_log_z [rows, 1] holding each row's sequence log Z; the
+    last len(prev) rows follow rows `prev` of their sequences."""
+    nxt = slice(len(emis) - len(prev), None)
+    unary = np.exp(alpha + beta - row_log_z)
+    pair = np.exp(
+        alpha[prev][:, :, None] + trans + (emis[nxt] + beta[nxt] - row_log_z[nxt])[:, None, :]
     )
-    return unary, pairwise
+    return unary, pair
 
 
 def viterbi(
@@ -488,7 +478,7 @@ class _Encoded:
     def __init__(self, dataset: Dataset, attr_index: dict[str, int], labels: Sequence[str]) -> None:
         batch = _as_columns(dataset)
         label_id = {l: i for i, l in enumerate(labels)}
-        L, A = len(labels), len(attr_index)
+        L = len(labels)
         lengths = np.asarray(batch.lengths, dtype=np.int64)
         if len(batch.labels) != len(lengths):
             raise ValueError(f"{len(lengths)} sequences vs {len(batch.labels)} label sequences")
@@ -506,7 +496,7 @@ class _Encoded:
             raise ValueError(f"label {exc.args[0]!r} not in {tuple(labels)}") from None
         k, off, order = _packed_order(lengths)
         self.k, self.off = k, off
-        self.X = _Firing(*_firing_csr(batch.columns, attr_index, order), A)
+        self.X = _Firing(batch.columns, attr_index, order)
         gold = gold[order]
         self.row_rank = np.arange(total) - np.repeat(off, k)
         self.prev = np.arange(k[0], total) - np.repeat(k[:-1], k[1:])
@@ -555,14 +545,10 @@ class _Encoded:
             forward = self._forward_pass(state_w, trans_w)
         emis, alpha, log_z = forward
         beta = _backward(emis, trans_w, self.k, self.off)
-        row_log_z = log_z[self.row_rank][:, None]
-        expected_state = self.X.counts(np.exp(alpha + beta - row_log_z))
-        nxt = slice(self.k[0], None)
-        pair = np.exp(
-            alpha[self.prev][:, :, None]
-            + trans_w
-            + (emis[nxt] + beta[nxt] - row_log_z[nxt])[:, None, :]
+        unary, pair = _posteriors(
+            emis, alpha, beta, trans_w, log_z[self.row_rank][:, None], self.prev
         )
+        expected_state = self.X.counts(unary)
         expected_trans = pair.sum(axis=0)
         objective = self._value(state_w, trans_w, log_z, sigma_sq)
         grad = Gradient(
@@ -726,6 +712,59 @@ def _columns(piece: str, lines: int, width: int) -> list[list[str]]:
     return [flat[i::step] for i in range(width)]
 
 
+def _plain(form: re.Pattern, field: str) -> str:
+    """The field, if `form` (PLAIN_INT or PLAIN_FLOAT) matches all of it."""
+    if not form.fullmatch(field):
+        raise ValueError(f"{field!r} is not a plain number")
+    return field
+
+
+# The bytes of plain numbers fall in these classes (0: any other byte); a
+# field is checked as the pairs of adjacent classes it makes with a line
+# break on either side.
+_NL, _MINUS, _PLUS, _ZERO, _NONZERO, _DOT, _E = range(1, 8)
+_DIGIT = [_ZERO, _NONZERO]
+_BYTE_CLASS = bytearray(256)
+for _class, _chars in enumerate([b"\n", b"-", b"+", b"0", b"123456789", b".", b"e"], 1):
+    for _byte in _chars:
+        _BYTE_CLASS[_byte] = _class
+
+
+def _class_pairs(*rules: tuple[list[int], list[int]]) -> np.ndarray:
+    """The allowed (before, after) class pairs, flat: entry before * 8 + after."""
+    allowed = np.zeros((8, 8), dtype=bool)
+    for before, after in rules:
+        allowed[np.ix_(before, after)] = True
+    return allowed.ravel()
+
+
+_INT_PAIRS = _class_pairs(([_NL], _DIGIT), (_DIGIT, _DIGIT + [_NL]))
+_FLOAT_PAIRS = _class_pairs(
+    ([_NL], _DIGIT + [_MINUS]),
+    ([_MINUS, _PLUS, _DOT], _DIGIT),
+    (_DIGIT, _DIGIT + [_NL, _DOT, _E]),
+    ([_E], [_PLUS, _MINUS]),
+)
+
+
+def _plain_column(fields: list[str], pairs: np.ndarray) -> list[str]:
+    """The fields, if each is a plain number: PLAIN_INT (pairs _INT_PAIRS)
+    or, once float() reads it, PLAIN_FLOAT (_FLOAT_PAIRS), checked for the
+    whole column at once. Every two adjacent bytes must make an allowed
+    pair, and a 0 that starts an integer part must be all of it; float()
+    rejects what else the pairs let through (a second "." or "e", or a "."
+    after the "e")."""
+    text = "\n" + "\n".join(fields) + "\n"
+    if text.isascii():
+        c = np.frombuffer(text.encode().translate(_BYTE_CLASS), dtype=np.uint8)
+        if np.take(pairs, c[:-1] * 8 + c[1:]).all():
+            start = np.flatnonzero(c[:-1] == _NL) + 1
+            start += c[start] == _MINUS
+            if not np.any((c[start] == _ZERO) & np.isin(c[start + 1], _DIGIT)):
+                return fields
+    raise ValueError("not a plain number")
+
+
 def load_model(source: str | TextIO) -> CrfModel:
     """Read a model that save_model wrote.
 
@@ -746,11 +785,12 @@ def load_model(source: str | TextIO) -> CrfModel:
 
     Raises ModelFormatError, with the line number, for another version, a
     truncated file, repeated label names, a section line with the wrong
-    number of fields, attribute ids out of order, a repeated or empty
-    attribute name, a state attribute id out of range, a label not in the
-    label list, a repeated (attribute, label) or (label, label) entry, a
-    weight that is not a finite number, a trans section that does not hold
-    every label pair, and any text after the `end` line.
+    number of fields, a number that is not plain (PLAIN_INT, PLAIN_FLOAT),
+    attribute ids out of order, a repeated or empty attribute name, a state
+    attribute id out of range, a label not in the label list, a repeated
+    (attribute, label) or (label, label) entry, a weight that is not
+    finite, a trans section that does not hold every label pair, and any
+    text after the `end` line.
     """
     text = source if isinstance(source, str) else source.read()
     pos = lineno = 0
@@ -769,13 +809,9 @@ def load_model(source: str | TextIO) -> CrfModel:
         fields = take(f"{name} section").split("\t")
         if fields[0] != name or len(fields) != 2:
             raise ModelFormatError(f"line {lineno}: expected {name} section header")
-        try:
-            count = int(fields[1])
-        except ValueError:
+        if not PLAIN_INT.fullmatch(fields[1]):
             raise ModelFormatError(f"line {lineno}: bad {name} count {fields[1]!r}")
-        if count < 0:
-            raise ModelFormatError(f"line {lineno}: bad {name} count {count}")
-        return count
+        return int(fields[1])
 
     def section(count: int, what: str, width: int, add: Callable[[list[list[str]]], None]) -> None:
         """Hand the next `count` lines to `add` as columns, a piece at a time.
@@ -813,7 +849,7 @@ def load_model(source: str | TextIO) -> CrfModel:
     if fields[0] != "config" or len(fields) != 3:
         raise ModelFormatError(f"line {lineno}: expected config line")
     try:
-        config = FeatureConfig.from_spec(fields[1], k=int(fields[2]))
+        config = FeatureConfig.from_spec(fields[1], k=int(_plain(PLAIN_INT, fields[2])))
     except ValueError as exc:
         raise ModelFormatError(f"line {lineno}: {exc}")
     fields = take("meta line").split("\t")
@@ -824,8 +860,8 @@ def load_model(source: str | TextIO) -> CrfModel:
         pairs = dict(f.split("=", 1) for f in fields[1:] if "=" in f)
         try:
             meta = TrainMeta(
-                int(pairs["iterations"]),
-                float(pairs["final_objective"]),
+                int(_plain(PLAIN_INT, pairs["iterations"])),
+                float(_plain(PLAIN_FLOAT, pairs["final_objective"])),
                 pairs["stopped_by"],
             )
         except (KeyError, ValueError):
@@ -836,7 +872,7 @@ def load_model(source: str | TextIO) -> CrfModel:
     def add_attrs(columns: list[list[str]]) -> None:
         ids, names = columns
         start, stop = len(attr_index), len(attr_index) + len(names)
-        if not np.array_equal(np.array(ids, dtype=np.int64), np.arange(start, stop)):
+        if ids != list(map(str, range(start, stop))):
             raise ValueError(f"attribute ids must count up from {start}")
         if "" in names:
             raise ValueError("empty attribute name")
@@ -860,8 +896,8 @@ def load_model(source: str | TextIO) -> CrfModel:
             raise ValueError(f"unknown label {exc}") from None
 
     def attr_ids(ids: list[str]) -> np.ndarray:
-        rows = np.array(ids, dtype=np.int64)
-        if rows.min() < 0 or rows.max() >= len(attr_index):
+        rows = np.array(_plain_column(ids, _INT_PAIRS), dtype=np.int64)
+        if rows.max() >= len(attr_index):
             raise ValueError("attribute id out of range")
         return rows
 
@@ -875,7 +911,7 @@ def load_model(source: str | TextIO) -> CrfModel:
         def add(columns: list[list[str]]) -> None:
             rows, cols, values = columns
             keys = row_ids(rows) * n_labels + label_ids(cols)
-            w = np.array(values, dtype=float)
+            w = np.array(_plain_column(values, _FLOAT_PAIRS), dtype=float)
             if not np.all(np.isfinite(w)):
                 raise ValueError("weight is not a finite number")
             ordered = np.sort(keys)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,6 +27,13 @@ OFFICE = "OFFICE"
 ENTITY_TYPES = frozenset({REIGN, PLACE, OFFICE})
 
 PMI_NA = "PMI_NA"
+
+# Numbers in the PMI-table and model files are plain ASCII, in the forms the
+# writers emit: integers without sign or leading zeros, and floats as
+# format(x, ".17g") writes finite ones. int() and float() take more (spaces,
+# "_", a "+" sign, other scripts' digits), so the readers match these first.
+PLAIN_INT = re.compile(r"0|[1-9][0-9]*")
+PLAIN_FLOAT = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
 
 # Per-character entity tag: "<TYPE>-<POS>" with POS in B/I/E/S, or None.
 EntityTag = Optional[str]
@@ -247,20 +255,18 @@ def save_pmi_table(table: PmiTable, sink: TextIO) -> None:
 def load_pmi_table(source: str | TextIO) -> PmiTable:
     """Read a PMI TSV back; every stored pair is kept.
 
-    Errors name the line: a negative total, more pairs than the total (each
-    pair occurs at least once among the total's adjacent pairs), a value that
-    is not a finite number, a repeated pair.
+    Errors name the line: a total that is not a plain integer (PLAIN_INT),
+    more pairs than the total (each pair occurs at least once among the
+    total's adjacent pairs), a value that is not a plain finite number
+    (PLAIN_FLOAT), a repeated pair.
     """
     text = source if isinstance(source, str) else source.read()
     lines = text.split("\n")
     if not lines[0].startswith("#N="):
         raise LexiconFormatError("PMI table: missing #N= header line")
-    try:
-        total = int(lines[0][3:])
-    except ValueError:
-        total = -1
-    if total < 0:
+    if not PLAIN_INT.fullmatch(lines[0], 3):
         raise LexiconFormatError(f"PMI table line 1: bad total {lines[0]!r}")
+    total = int(lines[0][3:])
     pmi: dict[tuple[str, str], float] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
@@ -268,13 +274,10 @@ def load_pmi_table(source: str | TextIO) -> PmiTable:
         fields = line.split("\t")
         if len(fields) != 2 or len(fields[0]) != 2:
             raise LexiconFormatError(f"PMI table line {lineno}: bad entry {line!r}")
-        try:
-            value = float(fields[1])
-        except ValueError:
-            value = math.nan
+        value = float(fields[1]) if PLAIN_FLOAT.fullmatch(fields[1]) else math.nan
         if not math.isfinite(value):
             raise LexiconFormatError(
-                f"PMI table line {lineno}: value {fields[1]!r} is not a finite number"
+                f"PMI table line {lineno}: value {fields[1]!r} is not a plain finite number"
             )
         pair = (fields[0][0], fields[0][1])
         if pair in pmi:

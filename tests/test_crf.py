@@ -36,6 +36,8 @@ from gujiseg.features import FeatureConfig, feature_columns, featurize_chars
 from gujiseg.lexicons import (
     GUANGYUN,
     PINGSHUIYUN,
+    PLAIN_FLOAT,
+    PLAIN_INT,
     EntityLexicon,
     LexiconSet,
     PmiTable,
@@ -433,7 +435,7 @@ class TestFiring:
         # attribute n_attrs is not in the index and fires nothing
         columns = crf._slot_columns([[[str(a) for a in row] for row in rows]])
         attr_index = {str(a): a for a in range(n_attrs)}
-        firing = crf._Firing(*crf._firing_csr(columns, attr_index, order), n_attrs)
+        firing = crf._Firing(columns, attr_index, order)
         assert firing.nnz == dense.sum()
         assert np.array_equal(firing.scores(w), dense @ w)
         assert np.array_equal(firing.counts(m), dense.T @ m)
@@ -555,10 +557,21 @@ class TestEncoder:
         for columns in (batch.columns, crf._slot_columns(attr_seqs)):
             got = crf._build_attr_index(columns)
             assert list(got.items()) == list(index.items())
-            got_cols, got_indptr = crf._firing_csr(columns, got, np.arange(len(indptr) - 1))
-            assert (got_cols.tolist(), got_indptr.tolist()) == (cols, indptr)
+            firing = crf._Firing(columns, got, np.arange(len(indptr) - 1))
+            got_indptr = [0, *np.cumsum(firing.fired).tolist()]
+            assert (firing.cols.tolist(), got_indptr) == (cols, indptr)
         for dataset in (batch, pairs):
             assert np.array_equal(crf._Encoded(dataset, index, LABELS).observed_state, observed)
+        # training and decoding score a row alike, names the model lacks included
+        known = {name: i for i, name in enumerate(n for n in index if rng.random() < 0.7)}
+        w = np.array([[rng.uniform(-3, 3) for _ in LABELS] for _ in known]).reshape(-1, len(LABELS))
+        model = CrfModel(LABELS, known, w, np.zeros((len(LABELS),) * 2), cfg)
+        total = int(batch.lengths.sum())
+        decoded = crf.column_scores(model, batch.columns, total)
+        packed = crf._Encoded(batch, known, LABELS).X.scores(w)
+        unpacked = np.empty_like(decoded)
+        unpacked[crf._packed_order(batch.lengths)[2]] = packed
+        assert np.array_equal(unpacked, decoded)
         config = TrainConfig(max_iterations=2)
         a, b = train(batch, config, cfg), train(pairs, config, cfg)
         assert list(a.attr_index.items()) == list(b.attr_index.items())
@@ -570,8 +583,8 @@ class TestEncoder:
         # with 377,768 distinct attributes: their strings, the index, the
         # firing operator and the weight arrays take most of the peak.
         # Training on the attribute lists of every position, as
-        # featurize_chars renders them, peaks at 147.0 MB; on the batch's
-        # columns at 136.7 MB, the same in every run (numpy 2.4, Python 3.11).
+        # featurize_chars renders them, peaks at 148.1 MB; on the batch's
+        # columns at 137.8 MB, the same in every run (numpy 2.4, Python 3.11).
         rng = random.Random(36)
         alphabet = [chr(0x4E00 + i) for i in range(300)]
         rhymes = RhymeDictionary(
@@ -952,10 +965,21 @@ class TestModelIO:
             ("\n1\tO\t0.25\n", "\n1\tO\tnan\n", "1\tO\tnan"),
             ("\n1\tO\t0.25\n", "\n1\tO\t-inf\n", "1\tO\t-inf"),
             ("\nend\n", "\nend\nattrs\t1\n0\tb\n", "attrs\t1"),
+            ("\n0\tO\t0.5\n", "\n0\tO\t0_5\n", "0\tO\t0_5"),
+            ("\n0\tO\t0.5\n", "\n0\tO\t\uff10.\uff15\n", "0\tO\t\uff10.\uff15"),
+            ("\n0\tO\t0.5\n", "\n0\tO\t 0.5 \n", "0\tO\t 0.5 "),
+            ("\n0\tO\t0.5\n", "\n0\tO\t+0.5\n", "0\tO\t+0.5"),
+            ("\n0\ta\n", "\n0_0\ta\n", "0_0\ta"),
+            ("\n0\tO\t0.5\n", "\n0_0\tO\t0.5\n", "0_0\tO\t0.5"),
+            ("\n1\tO\t0.25\n", "\n01\tO\t0.25\n", "01\tO\t0.25"),
+            ("attrs\t2\n", "attrs\t0_2\n", "attrs\t0_2"),
         ],
         ids=["repeated-name", "fields-across-lines", "empty-name",
              "negative-id", "fourth-field", "repeated-entry", "one-trans-pair",
-             "repeated-trans-pair", "nan-weight", "inf-weight", "text-after-end"],
+             "repeated-trans-pair", "nan-weight", "inf-weight", "text-after-end",
+             "underscore-weight", "full-width-weight", "spaced-weight", "plus-weight",
+             "underscore-attr-id", "underscore-state-id", "leading-zero-state-id",
+             "underscore-count"],
     )
     def test_malformed_section_reports_line(self, old, new, bad):
         sink = io.StringIO()
@@ -1014,6 +1038,24 @@ class TestModelIO:
                 lines[header + 1 + j] = data.draw(st.sampled_from(edits))
                 with pytest.raises(ModelFormatError, match=f"^line {header + 2 + j}:"):
                     load_model("\n".join(lines))
+
+    # the whole-column check accepts exactly the fields the forms match
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.text("0123456789-+.e_ E\uff10", max_size=8),
+                              st.floats(allow_nan=False).map(lambda x: f"{x:.17g}")),
+                    min_size=1, max_size=4))
+    @example(["0", "-0.5", "1e+308", "5e-324", "120"])
+    @example(["1.5", "00"])
+    def test_plain_column_matches_forms(self, fields):
+        def accepts(pairs, parse):
+            try:
+                list(map(parse, crf._plain_column(fields, pairs)))
+            except ValueError:
+                return False
+            return True
+
+        assert accepts(crf._FLOAT_PAIRS, float) == all(map(PLAIN_FLOAT.fullmatch, fields))
+        assert accepts(crf._INT_PAIRS, int) == all(map(PLAIN_INT.fullmatch, fields))
 
     def test_load_peak_stays_near_model_size(self):
         # a whole-section field list (3 strings per state line) would hold

@@ -275,9 +275,14 @@ class TestPmiIO:
             ("#N=0\n天月\t1.5\n", 2),
             ("#N=1\n天月\t1.5\n月天\t0.5\n", 3),
             ("#N=3\n天月\t1.5\n月天\t0.5\n天月\t2.5\n", 4),
+            ("#N=1_0\n天月\t1.5\n", 1),
+            ("#N=3\n天月\t1_5\n", 2),
+            ("#N=3\n天月\t\uff11.\uff15\n", 2),
+            ("#N=3\n天月\t 2.5 \n", 2),
         ],
         ids=["nan", "inf", "-inf", "negative-total", "empty-total", "zero-total",
-             "pairs-over-total", "repeated-pair"],
+             "pairs-over-total", "repeated-pair", "underscore-total", "underscore-value",
+             "full-width-value", "spaced-value"],
     )
     def test_malformed_reports_line(self, text, lineno):
         with pytest.raises(LexiconFormatError, match=f"line {lineno}:"):
