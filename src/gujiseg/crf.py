@@ -675,6 +675,8 @@ def save_model(model: CrfModel, sink: TextIO) -> None:
         sink.write("meta\tnone\n")
     else:
         m = model.meta
+        if not np.isfinite(m.final_objective):
+            raise ValueError(f"final objective {m.final_objective!r} is not a finite number")
         sink.write(
             f"meta\titerations={m.iterations}\tfinal_objective={m.final_objective:.17g}"
             f"\tstopped_by={m.stopped_by}\n"

@@ -1089,3 +1089,10 @@ class TestModelValidation:
     def test_unknown_label_lookup(self):
         with pytest.raises(ValueError):
             make_model().label_id("B")
+
+    # load_model reads plain finite numbers only, so save_model refuses the rest
+    def test_nonfinite_final_objective_not_saved(self):
+        model = make_model()
+        model.meta = crf.TrainMeta(1, math.nan, "converged")
+        with pytest.raises(ValueError, match="final objective"):
+            save_model(model, io.StringIO())
