@@ -7,12 +7,16 @@ Training, decoding and marginals all run over one packed time-major
 layout: sequences are sorted longest first, so position t of the k[t]
 sequences still running is the contiguous row block off[t]:off[t]+k[t], in
 the same sequence order at every t, with no padding and no masks; a lone
-sequence is the case k[t] = 1. A step adds into one preallocated buffer and
-folds it over the labels with out= ufunc calls, in the order a reduction
-sums, so the scores equal one np.logaddexp.reduce per step bit for bit
-(tests/oracles.py keeps that form as the reference). The backward
-recursion is shared: folded with log-sum-exp it gives the backward scores
-of forward-backward, folded with max the best suffix scores of Viterbi.
+sequence is the case k[t] = 1. One recursion, _scan, serves them all: a
+blocked scan over time that cuts each sequence into blocks of SCAN_BLOCK
+positions and takes O(SCAN_BLOCK + T / SCAN_BLOCK) numpy calls for T
+positions, not a few per position. Run forward it gives the forward scores;
+run over each sequence's reversed time with the transposed transitions it
+gives emissions plus backward scores, with log-sum-exp for forward-backward
+and with max for Viterbi's best suffix scores. It sums in another order
+than one np.logaddexp.reduce per step (tests/oracles.py keeps that form as
+the reference, and the tests hold the scan to it within 1e-12), and a
+sequence scores the same alone as in any batch.
 
 Attribute columns are the one encoder input: (names, codes) pairs in
 canonical order over a batch laid end to end (features.feature_columns, or
@@ -35,7 +39,7 @@ to verify against finite differences.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -51,6 +55,10 @@ MODEL_FORMAT_VERSION = "crfmodel-v1"
 # enough that numpy's per-call cost vanishes, small enough that one piece's
 # fields stay a fraction of the model
 LOAD_CHUNK_CHARS = 1 << 16
+# _scan cuts each sequence into blocks of this many positions, counted from
+# its own start: about sqrt(T) of them for the documents of a few hundred
+# positions this package sees, and a grid that does not depend on the batch
+SCAN_BLOCK = 32
 
 
 class TrainingError(RuntimeError):
@@ -154,77 +162,140 @@ def _packed_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return k, off, order
 
 
-def _forward(emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Forward scores: alpha[t] = emis[t] + logsumexp_i(alpha[t-1, i] + trans[i]).
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """Where _scan reads and writes the rows of a packed batch.
 
-    Each step adds into one preallocated [k[t], L, L] buffer and folds it
-    over the source label i left to right, as np.logaddexp.reduce(axis=1)
-    does, so the scores equal that reduction bit for bit. Views are
-    remade only when k[t] changes.
+    A sequence's first position starts its recursion. The positions after
+    it are cut into pieces of SCAN_BLOCK, counted from the sequence's own
+    start: piece b holds positions b * SCAN_BLOCK + 1 to (b + 1) * SCAN_BLOCK.
+    The pieces are numbered block by block and by rank within a block, and
+    that number is the piece's lane. Lanes are packed like sequences,
+    longest first, so step s of every lane longer than s is one run of
+    piece rows, steps[s] = (start, count).
+    - first: the packed rows of the sequences' first positions, by rank;
+      the first `entry` of them start the lanes of block 0
+    - rows, lane: the packed row and the lane of each piece row
+    - chain: for each block after the first, (its first lane, the lane of
+      the same rank one block earlier, that lane's last piece row, the
+      block's lane count). The earlier lanes are full pieces: they are
+      packed first, in lane order, so their last rows are one run.
     """
-    k, off = k.tolist(), off.tolist()
-    alpha = np.empty_like(emis)
-    alpha[: k[0]] = emis[: k[0]]
-    alpha3 = alpha[:, :, None]
-    buf = np.empty((k[0],) + trans.shape)
-    n_views = 0
-    for t in range(1, len(k)):
-        n, a = k[t], off[t]
-        if n != n_views:
-            pairs = buf[:n]
-            fold, (first, second, *rest) = _fold_operands(pairs, np.logaddexp)
-            n_views = n
-        np.add(alpha3[off[t - 1] : off[t - 1] + n], trans, out=pairs)
-        acc = alpha[a : a + n]
-        fold(first, second, out=acc)
-        for part in rest:
-            fold(acc, part, out=acc)
-        np.add(emis[a : a + n], acc, out=acc)
-    return alpha
+
+    first: np.ndarray
+    entry: int
+    rows: np.ndarray
+    lane: np.ndarray
+    steps: list[tuple[int, int]]
+    chain: list[tuple[int, int, int, int]]
+
+    @staticmethod
+    def of(lengths: np.ndarray) -> tuple[_Blocks, _Blocks]:
+        """The layouts of a batch of sequences of these lengths, packed as
+        _packed_order packs them, for the recursion forward in time and for
+        the one backward in time. Reversing time keeps each sequence's
+        length and rank, so the backward layout is the forward one with each
+        row mapped to the row of its mirror position."""
+        k, off, _ = _packed_order(lengths)
+        ranked = np.sort(lengths)[::-1]
+        starts = np.arange(1, len(k), SCAN_BLOCK)
+        width = k[starts]
+        lane_start = np.cumsum(width) - width
+        block = np.repeat(np.arange(len(starts)), width)
+        rank = np.arange(len(block)) - np.repeat(lane_start, width)
+        size = np.minimum(ranked[rank] - starts[block], SCAN_BLOCK)
+        piece_k, piece_off, piece_order = _packed_order(size)
+        lane = np.repeat(np.arange(len(block)), size)
+        step = np.arange(len(lane)) - np.repeat(np.cumsum(size) - size, size)
+        rows = (off[starts[block[lane]] + step] + rank[lane])[piece_order]
+        lane = lane[piece_order]
+        last = np.empty(len(block), dtype=np.int64)
+        last[lane[: len(block)]] = piece_off[size[lane[: len(block)]] - 1] + np.arange(len(block))
+        chain = [
+            (int(lane_start[b]), int(lane_start[b - 1]), int(last[lane_start[b - 1]]), int(width[b]))
+            for b in range(1, len(starts))
+        ]
+        steps = list(zip(piece_off.tolist(), piece_k.tolist()))
+        entry = int(width[0]) if len(width) else 0
+        forward = _Blocks(np.arange(len(lengths)), entry, rows, lane, steps, chain)
+        row_rank = np.arange(int(lengths.sum())) - np.repeat(off, k)
+        mirror = off[ranked[row_rank] - 1 - np.repeat(np.arange(len(k)), k)] + row_rank
+        return forward, replace(forward, first=mirror[forward.first], rows=mirror[rows])
 
 
-def _fold_operands(pairs: np.ndarray, add: np.ufunc) -> tuple[np.ufunc, list[np.ndarray]]:
-    """(ufunc, views) of a step that folds pairs[:, i] over the labels i
-    with `add`. A fold takes two operands at least, so a lone label's view
-    is listed twice and folded with np.maximum, which returns it bit for bit."""
-    parts = [pairs[:, i] for i in range(pairs.shape[1])]
-    if len(parts) == 1:
-        return np.maximum, parts * 2
-    return add, parts
+def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.logaddexp(x, y, out=out) for finite x and y, computed as max +
+    log1p(exp(min - max)): numpy's exp and log1p loops take a small part of
+    the time per element that its logaddexp loop takes. `out` may be x or y."""
+    low = np.minimum(x, y)
+    np.maximum(x, y, out=out)
+    low -= out
+    np.exp(low, out=low)
+    np.log1p(low, out=low)
+    out += low
+    return out
 
 
-def _backward(
-    emis: np.ndarray, trans: np.ndarray, k: np.ndarray, off: np.ndarray, add=np.logaddexp
+def _scan(
+    emis: np.ndarray, trans: np.ndarray, blocks: _Blocks, add: Callable = _logaddexp
 ) -> np.ndarray:
-    """Backward scores in the semiring whose sum is `add`: np.logaddexp for
-    forward-backward, np.maximum for Viterbi. A sequence's last row keeps
-    0; emis + beta scores a row together with its (best) suffix.
+    """The packed recursion x[q] = emis[q] + add over i of (x[p, i] +
+    trans[i]), p the row before q in its sequence and x = emis at a
+    sequence's first row, in the semiring whose sum is `add`: _logaddexp or
+    np.maximum.
 
-    beta[t, i] = add over j of (trans[i, j] + emis[t+1, j] + beta[t+1, j]),
-    folded over j left to right in preallocated buffers, as
-    add.reduce(axis=2) does, so the scores equal that reduction bit for bit.
+    With the forward layout of _Blocks.of and `trans` it gives the forward
+    scores alpha. With the backward layout and trans.T it runs backward in
+    time and gives emis + beta, each row scored with its suffixes: the
+    backward scores of forward-backward plus the emissions, or with
+    np.maximum the best suffix scores of Viterbi.
+
+    A piece's recursion is a product of L x L transfer matrices, so all
+    pieces run at once: one vectorised step per position of a piece builds
+    every piece's prefix products p[i, j], from entry label i to label j,
+    with the lanes on the innermost axis. One short pass along the blocks
+    carries each sequence's scores from piece to piece, and one broadcast
+    fold applies the carries to every prefix. For a longest sequence of T
+    positions that is O(SCAN_BLOCK + T / SCAN_BLOCK) numpy calls. The sums
+    are those of the step-by-step recursion (tests/oracles.py) taken in
+    another order; a sequence's sums do not depend on the batch around it.
     """
-    k, off = k.tolist(), off.tolist()
-    beta = np.zeros_like(emis)
-    trans_t = np.ascontiguousarray(trans.T)
-    ahead = np.empty((k[0], len(trans)))
-    buf = np.empty((k[0],) + trans.shape)
-    n_views = 0
-    for t in range(len(k) - 2, -1, -1):
-        n, a = k[t + 1], off[t + 1]
-        if n != n_views:
-            h, pairs = ahead[:n], buf[:n]
-            h3 = h[:, :, None]
-            fold, (first, second, *rest) = _fold_operands(pairs, add)
-            n_views = n
-        np.add(emis[a : a + n], beta[a : a + n], out=h)
-        # pairs[q, j, i] = trans[i, j] + ahead[q, j]
-        np.add(h3, trans_t, out=pairs)
-        acc = beta[off[t] : off[t] + n]
-        fold(first, second, out=acc)
-        for part in rest:
-            fold(acc, part, out=acc)
-    return beta
+    n_labels = len(trans)
+    x = np.empty_like(emis)
+    x[blocks.first] = emis[blocks.first]
+    if not len(blocks.rows):
+        return x
+    e = np.take(emis.T, blocks.rows, axis=1)
+    p = np.empty((n_labels, n_labels, len(blocks.rows)))
+    lanes = blocks.steps[0][1]
+    np.add(trans[:, :, None], e[:, :lanes], out=p[:, :, :lanes])
+    buf = np.empty((n_labels, n_labels, lanes))
+    for (before, _), (start, n) in zip(blocks.steps, blocks.steps[1:]):
+        # p[i, j] = e[j] + add over m of (p[i, m] one step before + trans[m, j])
+        out, part = p[:, :, start : start + n], buf[:, :, :n]
+        np.add(p[:, :1, before : before + n], trans[0][:, None], out=out)
+        for m in range(1, n_labels):
+            np.add(p[:, m : m + 1, before : before + n], trans[m][:, None], out=part)
+            add(out, part, out=out)
+        np.add(out, e[:, start : start + n], out=out)
+    del e, buf
+    carry = np.empty((n_labels, lanes))
+    carry[:, : blocks.entry] = emis[blocks.first[: blocks.entry]].T
+    buf = np.empty((n_labels, blocks.entry))
+    for lane, earlier, last, n in blocks.chain:
+        # carry[j] = add over i of (carry[i] one block before + p[i, j] at its end)
+        out, part = carry[:, lane : lane + n], buf[:, :n]
+        np.add(p[0, :, last : last + n], carry[:1, earlier : earlier + n], out=out)
+        for i in range(1, n_labels):
+            np.add(p[i, :, last : last + n], carry[i : i + 1, earlier : earlier + n], out=part)
+            add(out, part, out=out)
+    p += np.take(carry, blocks.lane, axis=1)[:, None, :]
+    for i in range(1, n_labels):
+        add(p[0], p[i], out=p[0])
+    for j in range(n_labels):
+        # a label at a time: a row at a time copies far slower
+        x[:, j][blocks.rows] = p[0, j]
+    return x
 
 
 def _slot_columns(attr_seqs: Iterable[Sequence[Sequence[str]]]) -> list[Column]:
@@ -364,8 +435,9 @@ def score_sequence(
 def log_partition(model: CrfModel, attrs: Sequence[Sequence[str]]) -> float:
     if not attrs:
         raise ValueError("empty sequence")
-    k, off, _ = _packed_order(np.array([len(attrs)]))
-    alpha = _forward(_state_scores(model, attrs), model.trans_weights, k, off)
+    lengths = np.array([len(attrs)])
+    forward, _ = _Blocks.of(lengths)
+    alpha = _scan(_state_scores(model, attrs), model.trans_weights, forward)
     return float(np.logaddexp.reduce(alpha[-1]))
 
 
@@ -375,27 +447,27 @@ def marginals(
     """(unary [T, L], pairwise [T-1, L, L]) posterior marginals."""
     if not attrs:
         raise ValueError("empty sequence")
-    k, off, _ = _packed_order(np.array([len(attrs)]))
+    lengths = np.array([len(attrs)])
+    forward, backward = _Blocks.of(lengths)
     emis = _state_scores(model, attrs)
     trans = model.trans_weights
-    alpha = _forward(emis, trans, k, off)
-    beta = _backward(emis, trans, k, off)
+    alpha = _scan(emis, trans, forward)
+    suffix = _scan(emis, trans.T, backward)
     log_z = np.full((len(attrs), 1), np.logaddexp.reduce(alpha[-1]))
-    return _posteriors(emis, alpha, beta, trans, log_z, np.arange(len(attrs) - 1))
+    return _posteriors(emis, alpha, suffix, trans, log_z, np.arange(len(attrs) - 1))
 
 
 def _posteriors(
-    emis: np.ndarray, alpha: np.ndarray, beta: np.ndarray, trans: np.ndarray,
+    emis: np.ndarray, alpha: np.ndarray, suffix: np.ndarray, trans: np.ndarray,
     row_log_z: np.ndarray, prev: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(unary [rows, L], pair [len(prev), L, L]) posterior marginals of
-    packed rows, row_log_z [rows, 1] holding each row's sequence log Z; the
+    packed rows from the forward scores and the suffix scores emis + beta
+    (_scan), row_log_z [rows, 1] holding each row's sequence log Z; the
     last len(prev) rows follow rows `prev` of their sequences."""
     nxt = slice(len(emis) - len(prev), None)
-    unary = np.exp(alpha + beta - row_log_z)
-    pair = np.exp(
-        alpha[prev][:, :, None] + trans + (emis[nxt] + beta[nxt] - row_log_z[nxt])[:, None, :]
-    )
+    unary = np.exp(alpha - emis + suffix - row_log_z)
+    pair = np.exp(alpha[prev][:, :, None] + trans + (suffix[nxt] - row_log_z[nxt])[:, None, :])
     return unary, pair
 
 
@@ -417,7 +489,7 @@ def viterbi_emissions(
     one packed pass: `emis` [total, L] holds the sequences' rows end to end
     and `lengths` their lengths.
 
-    Best suffix scores come from the shared backward recursion, then one
+    Best suffix scores come from the shared recursion (_scan), then one
     first-argmax forward pass runs over the k[t] running rows at each step:
     the candidates trans[prev] + suffix fill one preallocated buffer, and a
     fold over the labels keeps the first label that scores strictly more
@@ -428,10 +500,8 @@ def viterbi_emissions(
     if not len(lengths):
         return []
     k, off, order = _packed_order(lengths)
-    emis = emis[order]
     trans = model.trans_weights
-    suffix = emis + _backward(emis, trans, k, off, np.maximum)
-    del emis
+    suffix = _scan(emis[order], trans.T, _Blocks.of(lengths)[1], np.maximum)
     n, steps, starts = len(lengths), k.tolist(), off.tolist()
     path = np.empty(len(suffix), dtype=np.int64)
     path[:n] = np.argmax(suffix[:n], axis=1)
@@ -442,7 +512,7 @@ def viterbi_emissions(
         if m != n_views:
             c, g = cand[:m], better[:m]
             # a lone label's view comes twice, and its copy never scores more
-            _, parts = _fold_operands(c, np.maximum)
+            parts = [c[:, min(i, len(trans) - 1)] for i in range(max(len(trans), 2))]
             n_views = m
         np.take(trans, path[starts[t - 1] : starts[t - 1] + m], axis=0, out=c)
         np.add(c, suffix[a : a + m], out=c)
@@ -470,7 +540,8 @@ class _Encoded:
 
     Sequences are ranked longest first; the row of rank r at position t is
     off[t] + r (see _packed_order). The rows of the firing operator `X` and
-    of every per-position array (emissions, alpha, beta) share that order.
+    of every per-position array (emissions, forward and suffix scores) share
+    that order, and `blocks` holds _scan's forward and backward layouts.
     Row q >= k[0] follows row `prev[q - k[0]]` of its sequence, row q
     belongs to rank `row_rank[q]`, and rank r ends at row `last[r]`.
     """
@@ -495,7 +566,7 @@ class _Encoded:
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0]!r} not in {tuple(labels)}") from None
         k, off, order = _packed_order(lengths)
-        self.k, self.off = k, off
+        self.blocks = _Blocks.of(lengths)
         self.X = _Firing(batch.columns, attr_index, order)
         gold = gold[order]
         self.row_rank = np.arange(total) - np.repeat(off, k)
@@ -517,7 +588,7 @@ class _Encoded:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(emissions, alpha, per-sequence log Z) at the given weights."""
         emis = self.X.scores(state_w)
-        alpha = _forward(emis, trans_w, self.k, self.off)
+        alpha = _scan(emis, trans_w, self.blocks[0])
         return emis, alpha, np.logaddexp.reduce(alpha[self.last], axis=1)
 
     def _value(
@@ -544,9 +615,9 @@ class _Encoded:
         if forward is None:
             forward = self._forward_pass(state_w, trans_w)
         emis, alpha, log_z = forward
-        beta = _backward(emis, trans_w, self.k, self.off)
+        suffix = _scan(emis, trans_w.T, self.blocks[1])
         unary, pair = _posteriors(
-            emis, alpha, beta, trans_w, log_z[self.row_rank][:, None], self.prev
+            emis, alpha, suffix, trans_w, log_z[self.row_rank][:, None], self.prev
         )
         expected_state = self.X.counts(unary)
         expected_trans = pair.sum(axis=0)

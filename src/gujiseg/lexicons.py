@@ -256,8 +256,10 @@ def load_pmi_table(source: str | TextIO) -> PmiTable:
     """Read a PMI TSV back; every stored pair is kept.
 
     Errors name the line: a total that is not a plain integer (PLAIN_INT),
-    more pairs than the total (each pair occurs at least once among the
-    total's adjacent pairs), a value that is not a plain finite number
+    a blank or whitespace-only line (the writer ends every line with a
+    break, and only the empty rest after the last one is allowed), more
+    pairs than the total (each pair occurs at least once among the total's
+    adjacent pairs), a value that is not a plain finite number
     (PLAIN_FLOAT), a repeated pair.
     """
     text = source if isinstance(source, str) else source.read()
@@ -267,10 +269,12 @@ def load_pmi_table(source: str | TextIO) -> PmiTable:
     if not PLAIN_INT.fullmatch(lines[0], 3):
         raise LexiconFormatError(f"PMI table line 1: bad total {lines[0]!r}")
     total = int(lines[0][3:])
+    if lines[-1] == "":
+        lines.pop()
     pmi: dict[tuple[str, str], float] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
-            continue
+            raise LexiconFormatError(f"PMI table line {lineno}: blank line {line!r}")
         fields = line.split("\t")
         if len(fields) != 2 or len(fields[0]) != 2:
             raise LexiconFormatError(f"PMI table line {lineno}: bad entry {line!r}")

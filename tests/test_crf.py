@@ -448,38 +448,85 @@ class TestFiring:
         )
 
 
+def assert_close(got, expected):
+    """Equal to 1e-12 of the largest score's magnitude: the scan sums in
+    another order than the step-by-step oracles, and scores near zero come
+    out of sums of much larger terms."""
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def recursion_case(n_labels, lengths, tied, seed):
+    """(emissions of the sequences laid end to end, transitions): integer
+    scores tie everywhere and sum exactly in any order."""
+    rng = np.random.default_rng(seed)
+    shape = (int(np.sum(lengths)), n_labels)
+    if tied:
+        return (
+            rng.integers(-1, 2, shape).astype(float),
+            rng.integers(-1, 2, (n_labels, n_labels)).astype(float),
+        )
+    return rng.normal(0.0, 3.0, shape), rng.normal(0.0, 1.0, (n_labels, n_labels))
+
+
+def scans(emis, trans, lengths):
+    """Forward scores, suffix scores in both semirings and Viterbi paths of
+    a batch, each row in the batch's own order."""
+    k, off, order = crf._packed_order(lengths)
+    forward, backward = crf._Blocks.of(lengths)
+    packed = emis[order]
+    unpacked = []
+    for scores in (
+        crf._scan(packed, trans, forward),
+        crf._scan(packed, trans.T, backward),
+        crf._scan(packed, trans.T, backward, np.maximum),
+    ):
+        unpacked.append(np.empty_like(scores))
+        unpacked[-1][order] = scores
+    m = CrfModel(tuple("OMXY"[: len(trans)]), {}, np.zeros((0, len(trans))), trans, FeatureConfig())
+    return unpacked, [path for path, _ in crf.viterbi_emissions(m, emis, lengths)]
+
+
+# lengths past three blocks, with pieces of every size at the sequence ends
+SCAN_LENGTHS = st.lists(st.integers(1, 3 * crf.SCAN_BLOCK + 9), min_size=1, max_size=8)
+
+
 class TestRecursions:
-    # ragged batches, many length-1 sequences; integer scores tie everywhere
+    # ragged batches of several blocks and of single positions; integer
+    # scores tie everywhere
     @settings(max_examples=150, deadline=None)
     @given(
         n_labels=st.integers(1, 4),
-        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        lengths=st.one_of(st.lists(st.integers(1, 9), min_size=1, max_size=8), SCAN_LENGTHS),
         tied=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n_labels=2, lengths=[1], tied=True, seed=0)
     @example(n_labels=1, lengths=[3, 1, 2], tied=False, seed=2)
     @example(n_labels=3, lengths=[1, 4, 1, 1, 2], tied=True, seed=1)
+    @example(
+        n_labels=2,
+        lengths=[3 * crf.SCAN_BLOCK + 1, crf.SCAN_BLOCK, crf.SCAN_BLOCK + 1, 1, 2 * crf.SCAN_BLOCK + 7],
+        tied=False,
+        seed=3,
+    )
+    @example(n_labels=4, lengths=[3 * crf.SCAN_BLOCK + 2, 2 * crf.SCAN_BLOCK], tied=True, seed=4)
     def test_equal_to_one_reduction_per_step(self, n_labels, lengths, tied, seed):
-        rng = np.random.default_rng(seed)
         lengths = np.array(lengths)
-        shape = (int(lengths.sum()), n_labels)
-        if tied:
-            emis = rng.integers(-1, 2, shape).astype(float)
-            trans = rng.integers(-1, 2, (n_labels, n_labels)).astype(float)
-        else:
-            emis = rng.normal(0.0, 3.0, shape)
-            trans = rng.normal(0.0, 1.0, (n_labels, n_labels))
+        emis, trans = recursion_case(n_labels, lengths, tied, seed)
         k, off, order = crf._packed_order(lengths)
         packed = emis[order]
-        assert np.array_equal(
-            crf._forward(packed, trans, k, off), reference_forward(packed, trans, k, off)
+        forward, backward = crf._Blocks.of(lengths)
+        assert_close(crf._scan(packed, trans, forward), reference_forward(packed, trans, k, off))
+        assert_close(
+            crf._scan(packed, trans.T, backward),
+            packed + reference_backward(packed, trans, k, off, np.logaddexp),
         )
-        for add in (np.logaddexp, np.maximum):
-            assert np.array_equal(
-                crf._backward(packed, trans, k, off, add),
-                reference_backward(packed, trans, k, off, add),
-            )
+        suffix = crf._scan(packed, trans.T, backward, np.maximum)
+        expected = packed + reference_backward(packed, trans, k, off, np.maximum)
+        if tied:
+            assert np.array_equal(suffix, expected)
+        else:
+            assert_close(suffix, expected)
         labels = tuple("OMXY"[:n_labels])
         m = CrfModel(labels, {}, np.zeros((0, n_labels)), trans, FeatureConfig())
         path = np.empty(len(order), dtype=np.int64)
@@ -487,6 +534,24 @@ class TestRecursions:
         ends = np.cumsum(lengths)
         expected = [[labels[y] for y in path[e - n : e]] for e, n in zip(ends, lengths)]
         assert [p for p, _ in crf.viterbi_emissions(m, emis, lengths)] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_labels=st.integers(1, 4),
+        lengths=SCAN_LENGTHS,
+        tied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sequence_scores_do_not_depend_on_batch(self, n_labels, lengths, tied, seed):
+        lengths = np.array(lengths)
+        emis, trans = recursion_case(n_labels, lengths, tied, seed)
+        batch, paths = scans(emis, trans, lengths)
+        ends = np.cumsum(lengths)
+        for i, (end, n) in enumerate(zip(ends.tolist(), lengths.tolist())):
+            alone, alone_paths = scans(emis[end - n : end], trans, lengths[i : i + 1])
+            for got, own in zip(batch, alone):
+                assert np.array_equal(got[end - n : end], own)
+            assert paths[i] == alone_paths[0]
 
     def test_one_label_model(self):
         # training on one label runs; a one-label model file loads and

@@ -279,10 +279,14 @@ class TestPmiIO:
             ("#N=3\n天月\t1_5\n", 2),
             ("#N=3\n天月\t\uff11.\uff15\n", 2),
             ("#N=3\n天月\t 2.5 \n", 2),
+            ("#N=3\n天月\t1.5\n\n月天\t0.5\n", 3),
+            ("#N=3\n天月\t1.5\n  \n月天\t0.5\n", 3),
+            ("#N=3\n天月\t1.5\n \u3000\n月天\t0.5\n", 3),
         ],
         ids=["nan", "inf", "-inf", "negative-total", "empty-total", "zero-total",
              "pairs-over-total", "repeated-pair", "underscore-total", "underscore-value",
-             "full-width-value", "spaced-value"],
+             "full-width-value", "spaced-value", "blank-line", "space-line",
+             "ideographic-space-line"],
     )
     def test_malformed_reports_line(self, text, lineno):
         with pytest.raises(LexiconFormatError, match=f"line {lineno}:"):
