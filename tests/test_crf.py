@@ -471,7 +471,7 @@ def recursion_case(n_labels, lengths, tied, seed):
 def scans(emis, trans, lengths):
     """Forward scores, suffix scores in both semirings and Viterbi paths of
     a batch, each row in the batch's own order."""
-    k, off, order = crf._packed_order(lengths)
+    order = crf._packed_order(lengths)[2]
     forward, backward = crf._Blocks.of(lengths)
     packed = emis[order]
     unpacked = []
@@ -648,8 +648,8 @@ class TestEncoder:
         # with 377,768 distinct attributes: their strings, the index, the
         # firing operator and the weight arrays take most of the peak.
         # Training on the attribute lists of every position, as
-        # featurize_chars renders them, peaks at 148.1 MB; on the batch's
-        # columns at 137.8 MB, the same in every run (numpy 2.4, Python 3.11).
+        # featurize_chars renders them, peaks at 148.5 MB; on the batch's
+        # columns at 138.0 MB, the same in every run (numpy 2.4, Python 3.11).
         rng = random.Random(36)
         alphabet = [chr(0x4E00 + i) for i in range(300)]
         rhymes = RhymeDictionary(
