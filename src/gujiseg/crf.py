@@ -7,16 +7,17 @@ Training, decoding and marginals all run over one packed time-major
 layout: sequences are sorted longest first, so position t of the k[t]
 sequences still running is the contiguous row block off[t]:off[t]+k[t], in
 the same sequence order at every t, with no padding and no masks; a lone
-sequence is the case k[t] = 1. One recursion, _scan, serves them all: a
-blocked scan over time that cuts each sequence into blocks of SCAN_BLOCK
-positions and takes O(SCAN_BLOCK + T / SCAN_BLOCK) numpy calls for T
-positions, not a few per position. Run forward it gives the forward scores;
-run over each sequence's reversed time with the transposed transitions it
-gives emissions plus backward scores, with log-sum-exp for forward-backward
-and with max for Viterbi's best suffix scores. It sums in another order
-than one np.logaddexp.reduce per step (tests/oracles.py keeps that form as
-the reference, and the tests hold the scan to it within 1e-12), and a
-sequence scores the same alone as in any batch.
+sequence is the case k[t] = 1. Every pass over time runs on one blocked
+layout, _Blocks, in O(SCAN_BLOCK + T / SCAN_BLOCK) numpy calls for T
+positions, not a few per position. The recursion _scan gives the forward
+scores; over each sequence's reversed time with the transposed transitions
+it gives emissions plus backward scores, with log-sum-exp for
+forward-backward and with max for Viterbi's best suffix scores. Viterbi's
+path composes per-row choices on the forward layout, each row's first
+argmax given the label before it. The scan sums in another order than one
+np.logaddexp.reduce per step (tests/oracles.py keeps that form as the
+reference, and the tests hold the scan to it within 1e-12), and a sequence
+scores and decodes the same alone as in any batch.
 
 Attribute columns are the one encoder input: (names, codes) pairs in
 canonical order over a batch laid end to end (features.feature_columns, or
@@ -190,13 +191,14 @@ class _Blocks:
     chain: list[tuple[int, int, int, int]]
 
     @staticmethod
-    def of(lengths: np.ndarray) -> tuple[_Blocks, _Blocks]:
-        """The layouts of a batch of sequences of these lengths, packed as
-        _packed_order packs them, for the recursion forward in time and for
-        the one backward in time. Reversing time keeps each sequence's
-        length and rank, so the backward layout is the forward one with each
-        row mapped to the row of its mirror position."""
-        k, off, _ = _packed_order(lengths)
+    def of(lengths: np.ndarray) -> tuple[tuple[np.ndarray, ...], _Blocks, _Blocks]:
+        """The packing of a batch of sequences of these lengths, (k, off,
+        order) as _packed_order gives it and the rank row_rank[q] of row q,
+        then its layouts for the recursion forward in time and for the one
+        backward in time. Reversing time keeps each sequence's length and
+        rank, so the backward layout is the forward one with each row mapped
+        to the row of its mirror position."""
+        k, off, order = _packed_order(lengths)
         ranked = np.sort(lengths)[::-1]
         starts = np.arange(1, len(k), SCAN_BLOCK)
         width = k[starts]
@@ -220,7 +222,8 @@ class _Blocks:
         forward = _Blocks(np.arange(len(lengths)), entry, rows, lane, steps, chain)
         row_rank = np.arange(int(lengths.sum())) - np.repeat(off, k)
         mirror = off[ranked[row_rank] - 1 - np.repeat(np.arange(len(k)), k)] + row_rank
-        return forward, replace(forward, first=mirror[forward.first], rows=mirror[rows])
+        backward = replace(forward, first=mirror[forward.first], rows=mirror[rows])
+        return (k, off, order, row_rank), forward, backward
 
 
 def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -436,7 +439,7 @@ def log_partition(model: CrfModel, attrs: Sequence[Sequence[str]]) -> float:
     if not attrs:
         raise ValueError("empty sequence")
     lengths = np.array([len(attrs)])
-    forward, _ = _Blocks.of(lengths)
+    _, forward, _ = _Blocks.of(lengths)
     alpha = _scan(_state_scores(model, attrs), model.trans_weights, forward)
     return float(np.logaddexp.reduce(alpha[-1]))
 
@@ -448,7 +451,7 @@ def marginals(
     if not attrs:
         raise ValueError("empty sequence")
     lengths = np.array([len(attrs)])
-    forward, backward = _Blocks.of(lengths)
+    _, forward, backward = _Blocks.of(lengths)
     emis = _state_scores(model, attrs)
     trans = model.trans_weights
     alpha = _scan(emis, trans, forward)
@@ -476,7 +479,8 @@ def viterbi(
 ) -> tuple[list[str], float]:
     """Highest-scoring labeling. Ties break toward the earlier label in
     canonical order, decided left to right: a backward pass computes best
-    suffix scores, then a forward pass takes the first argmax at each step.
+    suffix scores, each position's first argmax given the label before it
+    follows from them, and the path composes those choices from the start.
     """
     lengths = np.array([len(attrs)])
     return viterbi_emissions(model, _state_scores(model, attrs), lengths)[0]
@@ -489,40 +493,38 @@ def viterbi_emissions(
     one packed pass: `emis` [total, L] holds the sequences' rows end to end
     and `lengths` their lengths.
 
-    Best suffix scores come from the shared recursion (_scan), then one
-    first-argmax forward pass runs over the k[t] running rows at each step:
-    the candidates trans[prev] + suffix fill one preallocated buffer, and a
-    fold over the labels keeps the first label that scores strictly more
-    than every earlier one, as np.argmax does.
+    Best suffix scores come from the shared recursion (_scan). A first row
+    takes their first argmax; every later row maps each label i before it to
+    the first argmax over j of trans[i, j] + suffix[j], one np.argmax for all
+    rows. The maps compose on _scan's forward layout: one step per block
+    position for every piece's prefix maps, one pass along the blocks, one
+    gather to fill the rows.
     """
     if np.any(lengths == 0):
         raise ValueError("empty sequence")
+    shape = (int(np.sum(lengths)), len(model.labels))
+    if emis.shape != shape:
+        raise ValueError(f"emissions of shape {emis.shape}, expected {shape}")
     if not len(lengths):
         return []
-    k, off, order = _packed_order(lengths)
+    (_, _, order, _), forward, backward = _Blocks.of(lengths)
     trans = model.trans_weights
-    suffix = _scan(emis[order], trans.T, _Blocks.of(lengths)[1], np.maximum)
-    n, steps, starts = len(lengths), k.tolist(), off.tolist()
+    suffix = _scan(emis[order], trans.T, backward, np.maximum)
+    n = len(lengths)
     path = np.empty(len(suffix), dtype=np.int64)
     path[:n] = np.argmax(suffix[:n], axis=1)
-    cand, better = np.empty((n, len(trans))), np.empty(n, dtype=bool)
-    n_views = 0
-    for t in range(1, len(steps)):
-        m, a = steps[t], starts[t]
-        if m != n_views:
-            c, g = cand[:m], better[:m]
-            # a lone label's view comes twice, and its copy never scores more
-            parts = [c[:, min(i, len(trans) - 1)] for i in range(max(len(trans), 2))]
-            n_views = m
-        np.take(trans, path[starts[t - 1] : starts[t - 1] + m], axis=0, out=c)
-        np.add(c, suffix[a : a + m], out=c)
-        out = path[a : a + m]
-        np.greater(parts[1], parts[0], out=out)
-        # parts[0] becomes the best score so far
-        for j in range(2, len(parts)):
-            np.maximum(parts[0], parts[j - 1], out=parts[0])
-            np.greater(parts[j], parts[0], out=g)
-            np.copyto(out, j, where=g)
+    # after[i, r]: piece row r's label when label i comes before it; the
+    # steps compose these maps, so that i comes before r's piece
+    after = np.argmax(trans[:, None, :] + suffix[forward.rows], axis=2)
+    for (before, _), (start, m) in zip(forward.steps, forward.steps[1:]):
+        after[:, start : start + m] = np.take_along_axis(
+            after[:, start : start + m], after[:, before : before + m], axis=0
+        )
+    # each lane's entry label; a block's lanes follow the lanes before it
+    entry = [path[: forward.entry]]
+    for _, _, last, m in forward.chain:
+        entry.append(after[entry[-1][:m], np.arange(last, last + m)])
+    path[forward.rows] = after[np.concatenate(entry)[forward.lane], np.arange(len(forward.rows))]
     labels = np.empty(len(path), dtype=object)
     labels[order] = np.array(model.labels, dtype=object)[path]
     labels = labels.tolist()
@@ -565,11 +567,9 @@ class _Encoded:
             )
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0]!r} not in {tuple(labels)}") from None
-        k, off, order = _packed_order(lengths)
-        self.blocks = _Blocks.of(lengths)
+        (k, off, order, self.row_rank), *self.blocks = _Blocks.of(lengths)
         self.X = _Firing(batch.columns, attr_index, order)
         gold = gold[order]
-        self.row_rank = np.arange(total) - np.repeat(off, k)
         self.prev = np.arange(k[0], total) - np.repeat(k[:-1], k[1:])
         self.last = off[np.sort(lengths)[::-1] - 1] + np.arange(n)
         onehot = np.zeros((total, L))

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -175,10 +176,30 @@ class TestMarginals:
 
 
 class TestViterbi:
-    def test_zero_weights_tie_breaks_to_o(self):
-        labels, score = viterbi(make_model(), [[], [], [], []])
-        assert labels == [O, O, O, O]
-        assert score == 0.0
+    # every row ties, so the label O must carry across blocks, alone and
+    # batched with short sequences
+    @pytest.mark.parametrize(
+        "lengths",
+        [[4], [3 * crf.SCAN_BLOCK + 1], [2, 3 * crf.SCAN_BLOCK + 1, 1, 5]],
+        ids=["short", "past-three-blocks", "batched"],
+    )
+    def test_zero_weights_tie_breaks_to_o(self, lengths):
+        m = make_model()
+        if len(lengths) == 1:
+            assert viterbi(m, [[]] * lengths[0]) == ([O] * lengths[0], 0.0)
+        decoded = viterbi_emissions(m, np.zeros((sum(lengths), 2)), np.array(lengths))
+        assert decoded == [([O] * n, 0.0) for n in lengths]
+
+    def test_label_cycle_carries_across_blocks(self):
+        # transitions reward only O -> M -> X -> O, so no two paths merge and
+        # the blocks of the long sequence start on different labels
+        trans = np.roll(np.eye(3), 1, axis=1)
+        m = CrfModel(("O", "M", "X"), {}, np.zeros((0, 3)), trans, FeatureConfig())
+        lengths = np.array([5, 3 * crf.SCAN_BLOCK + 1, 1])
+        emis = np.zeros((int(lengths.sum()), 3))
+        emis[np.cumsum(lengths) - lengths, 2] = 1.0
+        decoded = viterbi_emissions(m, emis, lengths)
+        assert decoded == [([("X", "O", "M")[t % 3] for t in range(n)], float(n)) for n in lengths]
 
     def test_single_spike(self):
         m = make_model(attrs=("a",), state=[[0.0, 5.0]])
@@ -304,6 +325,12 @@ class TestViterbiBatch:
             decode_batch(make_model(), [[["a"]], []])
         with pytest.raises(ValueError, match="empty sequence"):
             viterbi(make_model(), [])
+
+    def test_misshaped_emissions_rejected(self):
+        # too many rows for the lengths, and too few labels
+        for shape in ((5, 2), (3, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected (3, 2)")):
+                viterbi_emissions(make_model(), np.zeros(shape), np.array([2, 1]))
 
 
 RICH_LEX = LexiconSet(
@@ -471,8 +498,7 @@ def recursion_case(n_labels, lengths, tied, seed):
 def scans(emis, trans, lengths):
     """Forward scores, suffix scores in both semirings and Viterbi paths of
     a batch, each row in the batch's own order."""
-    order = crf._packed_order(lengths)[2]
-    forward, backward = crf._Blocks.of(lengths)
+    (_, _, order, _), forward, backward = crf._Blocks.of(lengths)
     packed = emis[order]
     unpacked = []
     for scores in (
@@ -513,9 +539,8 @@ class TestRecursions:
     def test_equal_to_one_reduction_per_step(self, n_labels, lengths, tied, seed):
         lengths = np.array(lengths)
         emis, trans = recursion_case(n_labels, lengths, tied, seed)
-        k, off, order = crf._packed_order(lengths)
+        (k, off, order, _), forward, backward = crf._Blocks.of(lengths)
         packed = emis[order]
-        forward, backward = crf._Blocks.of(lengths)
         assert_close(crf._scan(packed, trans, forward), reference_forward(packed, trans, k, off))
         assert_close(
             crf._scan(packed, trans.T, backward),
