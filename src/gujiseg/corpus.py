@@ -201,7 +201,18 @@ def reinsert_marks(seq: LabeledSequence, mark: str = "，") -> str:
 
 def write_labeled_corpus(docs: Iterable[LabeledSequence], sink: TextIO) -> None:
     """Write the labeled-corpus format: char<TAB>label lines, blank line
-    between sequences."""
+    between sequences.
+
+    Raises ValueError, naming the document and the character, before
+    anything is written if a character is a tab or one that str.splitlines()
+    breaks on, since read_labeled_corpus could not read it back."""
+    docs = list(docs)
+    for doc in docs:
+        if "\t" in doc.chars or len((doc.chars + ".").splitlines()) > 1:
+            bad = next(c for c in doc.chars if c == "\t" or len((c + ".").splitlines()) > 1)
+            raise ValueError(
+                f"document {doc.doc_id}: character {bad!r} cannot be read back from a labeled corpus"
+            )
     first = True
     for doc in docs:
         if not first:

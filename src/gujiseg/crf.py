@@ -130,6 +130,8 @@ class CrfModel:
     meta: Optional[TrainMeta] = None
 
     def __post_init__(self) -> None:
+        if len(set(self.labels)) < len(self.labels):
+            raise ValueError(f"repeated label in {self.labels!r}")
         a, l = len(self.attr_index), len(self.labels)
         if self.state_weights.shape != (a, l):
             raise ValueError(
@@ -739,6 +741,12 @@ def train(
 
 
 def save_model(model: CrfModel, sink: TextIO) -> None:
+    """Write a model that load_model reads back, or raise ValueError for one
+    it would reject: a label or attribute name holding a separator, an
+    empty attribute name, a final objective that is not finite."""
+    for label in model.labels:
+        if "\t" in label or "\n" in label:
+            raise ValueError(f"label {label!r} contains a separator")
     sink.write(MODEL_FORMAT_VERSION + "\n")
     sink.write("labels" + "".join("\t" + l for l in model.labels) + "\n")
     sink.write(f"config\t{model.config.spec()}\t{model.config.k}\n")
@@ -757,6 +765,8 @@ def save_model(model: CrfModel, sink: TextIO) -> None:
     for attr, attr_id in attrs:
         if "\t" in attr or "\n" in attr:
             raise ValueError(f"attribute {attr!r} contains a separator")
+        if not attr:
+            raise ValueError(f"attribute {attr_id} has an empty name")
         sink.write(f"{attr_id}\t{attr}\n")
     attr_ids, label_ids = np.nonzero(model.state_weights)
     values = model.state_weights[attr_ids, label_ids]

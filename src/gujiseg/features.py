@@ -216,9 +216,8 @@ def feature_columns(
             np.intp,
             total,
         )
-        tag_names = list(tag_ids)
-        keys, codes = _distinct(tags)
-        yield [f"ne[0]={tag_names[t]}" for t in keys.tolist()], codes
+        # ids are handed out in first-seen order, so every one occurs
+        yield [f"ne[0]={tag}" for tag in tag_ids], tags
     if cfg.use_pmi:
         # each distinct (position, next position) pair is binned once; a
         # sequence's last position has no right pair, its first no left one
@@ -247,20 +246,10 @@ def featurize_chars(
     """Attribute lists for every position of one sequence: its
     feature_columns rendered position by position."""
     rows: list[list[str]] = [[] for _ in range(len(chars))]
-    # columns that fire at every position are zipped into the rows in runs
-    dense: list[list[str]] = []
     for names, codes in feature_columns([chars], cfg, lex):
-        if codes.min(initial=0) >= 0:
-            dense.append([names[c] for c in codes.tolist()])
-            continue
-        for row, extra in zip(rows, zip(*dense)):
-            row += extra
-        dense = []
-        fired = np.flatnonzero(codes >= 0)
-        for r, code in zip(fired.tolist(), codes[fired].tolist()):
-            rows[r].append(names[code])
-    for row, extra in zip(rows, zip(*dense)):
-        row += extra
+        for row, code in zip(rows, codes.tolist()):
+            if code >= 0:
+                row.append(names[code])
     return rows
 
 

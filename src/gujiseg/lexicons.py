@@ -57,16 +57,9 @@ class EntityLexicon:
     entries: dict[str, str]
 
     @cached_property
-    def trie(self) -> dict:
-        """The entries as a character trie: nested dicts keyed by character,
-        where key None holds the type of the entry that ends there."""
-        root: dict = {}
-        for word, etype in self.entries.items():
-            node = root
-            for ch in word:
-                node = node.setdefault(ch, {})
-            node[None] = etype
-        return root
+    def prefixes(self) -> frozenset[str]:
+        """Every prefix of every entry: the empty one and the entries too."""
+        return frozenset(word[:i] for word in self.entries for i in range(len(word) + 1))
 
 
 @dataclass(frozen=True)
@@ -152,18 +145,25 @@ def load_entity_lexicon(source: str | TextIO) -> EntityLexicon:
 def tag_entities(chars: Sequence[str], lexicon: EntityLexicon) -> list[EntityTag]:
     """Greedy left-to-right longest-match tagging.
 
-    From each start the lexicon's trie is walked token by token, and the
-    longest match that ends on a token boundary wins; a span's length is
-    counted in tokens. Matched spans get positional tags: B/I/E for length
-    >= 3, B/E for length 2, S for a single token. Untagged positions stay
-    None.
+    From each start, tokens are joined one at a time while the join is a
+    prefix of an entry; the longest join that is an entry wins. A token may
+    be several characters or none, and a span's length is counted in
+    tokens, so an empty token inside or right after a match belongs to it.
+    Matched spans get positional tags: B/I/E for length >= 3, B/E for
+    length 2, S for a single token. Untagged positions stay None.
     """
     n = len(chars)
     tags: list[EntityTag] = [None] * n
-    trie = lexicon.trie
+    entries, prefixes = lexicon.entries, lexicon.prefixes
     i = 0
     while i < n:
-        match_len, match_type = _longest_match(trie, chars, i)
+        match_len, match_type, join = 0, "", ""
+        for j in range(i, n):
+            join += chars[j]
+            if join not in prefixes:
+                break
+            if join in entries:
+                match_len, match_type = j - i + 1, entries[join]
         if match_len == 0:
             i += 1
             continue
@@ -176,20 +176,6 @@ def tag_entities(chars: Sequence[str], lexicon: EntityLexicon) -> list[EntityTag
             tags[i + match_len - 1] = f"{match_type}-E"
         i += match_len
     return tags
-
-
-def _longest_match(trie: dict, chars: Sequence[str], start: int) -> tuple[int, str]:
-    """(tokens, type) of the longest entry that chars[start:] begins with,
-    or (0, "")."""
-    node, best = trie, (0, "")
-    for j in range(start, len(chars)):
-        for ch in chars[j]:
-            node = node.get(ch)
-            if node is None:
-                return best
-        if None in node:
-            best = (j - start + 1, node[None])
-    return best
 
 
 def build_pmi_table(train, min_count: int = 5) -> PmiTable:

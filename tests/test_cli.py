@@ -86,6 +86,17 @@ class TestPrepare:
         assert float(report["mean_chars_per_doc"]) == pytest.approx(8.0)
         assert out.read_text(encoding="utf-8").startswith("孝\tO\n敬\tO\n天\tO\n啟\tM\n")
 
+    def test_unreadable_character_exits_2(self, tmp_path, capsys):
+        # a custom --discard set keeps the tab, which the labeled corpus
+        # cannot hold
+        raw = tmp_path / "raw.txt"
+        raw.write_text("天地\t玄黃，宇宙洪荒。\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        rc = main(["prepare", str(raw), "-o", str(out), "--min-length", "0", "--discard", "x"])
+        assert rc == 2
+        assert "character '\\t'" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == ""
+
     def test_manifest_written(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
         raw.write_text("天地玄黃，宇宙洪荒。\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -226,6 +227,14 @@ class TestLabeledCorpusIO:
         sink = io.StringIO()
         write_labeled_corpus([LabeledSequence("d", "天下", "OM")], sink)
         assert sink.getvalue() == "天\tO\n下\tM\n"
+
+    @pytest.mark.parametrize("char", list("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_unreadable_character_not_written(self, char):
+        docs = [LabeledSequence("d1", "天下", "OM"), LabeledSequence("d2", f"天{char}下", "OOM")]
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=f"document d2: character {re.escape(repr(char))}"):
+            write_labeled_corpus(docs, sink)
+        assert sink.getvalue() == ""
 
     def test_bad_line_reports_number(self):
         with pytest.raises(CorpusFormatError, match="line 2"):

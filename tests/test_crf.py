@@ -1186,3 +1186,20 @@ class TestModelValidation:
         model.meta = crf.TrainMeta(1, math.nan, "converged")
         with pytest.raises(ValueError, match="final objective"):
             save_model(model, io.StringIO())
+
+    def test_empty_attribute_name_not_saved(self):
+        model = train([([[""], ["a"]], ["O", "M"])], TrainConfig(max_iterations=1))
+        with pytest.raises(ValueError, match="empty name"):
+            save_model(model, io.StringIO())
+
+    @pytest.mark.parametrize("label", ["X\tY", "X\nY"], ids=["tab", "newline"])
+    def test_label_with_separator_not_saved(self, label):
+        model = train(
+            [([["a"], ["b"]], [label, "M"])], TrainConfig(max_iterations=1), labels=(label, "M")
+        )
+        with pytest.raises(ValueError, match="separator"):
+            save_model(model, io.StringIO())
+
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(ValueError, match="repeated label"):
+            train([([["a"], ["b"]], ["O", "O"])], TrainConfig(max_iterations=1), labels=("O", "O"))

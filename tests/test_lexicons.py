@@ -104,15 +104,17 @@ class TestTagEntities:
 
     def test_matches_brute_force(self):
         rng = random.Random(5)
-        # tokens may be several characters, so word lengths in tokens and in
-        # characters differ
-        pool = list("天地玄黃宇宙洪荒日月") + ["C1", "C2"]
+        # tokens may be several characters or none, so word lengths in tokens
+        # and in characters differ; an empty token inside or after a match
+        # belongs to it
+        pool = list("天地玄黃宇宙洪荒日月") + ["C1", "C2", ""]
         types = ("REIGN", "PLACE", "OFFICE")
         for _ in range(60):
             words = {}
             for _ in range(rng.randint(1, 8)):
                 w = "".join(rng.choice(pool) for _ in range(rng.randint(1, 3)))
-                words.setdefault(w, rng.choice(types))
+                if w:  # the loader rejects an empty word
+                    words.setdefault(w, rng.choice(types))
             lex = EntityLexicon(words)
             chars = [rng.choice(pool) for _ in range(rng.randint(0, 15))]
             assert tag_entities(chars, lex) == brute_tag_entities(chars, lex)
