@@ -95,7 +95,7 @@ class TestPrepare:
         rc = main(["prepare", str(raw), "-o", str(out), "--min-length", "0", "--discard", "x"])
         assert rc == 2
         assert "character '\\t'" in capsys.readouterr().err
-        assert out.read_text(encoding="utf-8") == ""
+        assert not (tmp_path / "out.tsv.manifest.json").exists()
 
     def test_manifest_written(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
