@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import importlib
+import io
 import json
 import logging
 import os
@@ -34,7 +35,6 @@ from .corpus import (
     DEFAULT_BOUNDARY,
     DEFAULT_DISCARD,
     CorpusFormatError,
-    Document,
     EmptySequenceError,
     LabeledSequence,
     corpus_stats,
@@ -215,8 +215,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             empty += 1
     kept = filter_short(labeled, args.min_length)
     stats = corpus_stats(kept)
+    # written in memory first: a refused corpus leaves the file at -o as it was
+    corpus = io.StringIO()
+    write_labeled_corpus(kept, corpus)
     with open(args.output, "w", encoding="utf-8") as fh:
-        write_labeled_corpus(kept, fh)
+        fh.write(corpus.getvalue())
     _write_manifest(args.output, args, [args.corpus], started)
     report = [
         ("docs_parsed", len(docs)),
@@ -264,14 +267,11 @@ def cmd_punctuate(args: argparse.Namespace) -> int:
     model = load_model(read_text_utf8(args.model))
     lexicons, _ = _load_lexicons(args)
     _require_resources(model.config, lexicons)
-    stripped: list[str] = []
-    boundary_found = 0
-    for line in read_text_utf8(args.input).splitlines():
-        boundary_found += sum(map(line.count, DEFAULT_BOUNDARY))
-        try:
-            stripped.append(labelize(Document("", line)).chars)
-        except EmptySequenceError:
-            stripped.append("")
+    text = read_text_utf8(args.input)
+    boundary_found = sum(map(text.count, DEFAULT_BOUNDARY))
+    # what labelize keeps of each line: every mark it knows goes
+    strip = str.maketrans("", "", "".join(DEFAULT_BOUNDARY | DEFAULT_DISCARD))
+    stripped = [line.translate(strip) for line in text.splitlines()]
     if boundary_found:
         logger.warning("input already contains %d boundary marks; stripped before decoding",
                        boundary_found)

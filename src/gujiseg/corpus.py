@@ -196,7 +196,14 @@ def corpus_stats(docs: Iterable[LabeledSequence]) -> CorpusStats:
 
 def reinsert_marks(seq: LabeledSequence, mark: str = "，") -> str:
     """Rebuild punctuated text by placing `mark` after every M character."""
-    return "".join(c + mark if l == M else c for c, l in zip(seq.chars, seq.labels))
+    pieces, start = [], 0
+    end = seq.labels.find(M)
+    while end >= 0:
+        pieces.append(seq.chars[start : end + 1])
+        start = end + 1
+        end = seq.labels.find(M, start)
+    pieces.append(seq.chars[start:])
+    return mark.join(pieces)
 
 
 def write_labeled_corpus(docs: Iterable[LabeledSequence], sink: TextIO) -> None:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -120,6 +121,11 @@ class Gradient:
     trans: np.ndarray
 
 
+def _check_labels(labels: Sequence[str]) -> None:
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"repeated label in {tuple(labels)!r}")
+
+
 @dataclass(eq=False)
 class CrfModel:
     labels: tuple[str, ...]
@@ -130,8 +136,7 @@ class CrfModel:
     meta: Optional[TrainMeta] = None
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) < len(self.labels):
-            raise ValueError(f"repeated label in {self.labels!r}")
+        _check_labels(self.labels)
         a, l = len(self.attr_index), len(self.labels)
         if self.state_weights.shape != (a, l):
             raise ValueError(
@@ -333,8 +338,8 @@ def _as_columns(dataset: Dataset) -> ColumnDataset:
 def _lookup(attr_index: dict[str, int], names: Sequence[str], missing: int) -> np.ndarray:
     """The ids of `names`, `missing` for unknown names, then one more
     `missing` for code -1 to take."""
-    ids = np.fromiter((attr_index.get(name, missing) for name in names), np.intp, len(names))
-    return np.append(ids, missing)
+    ids = map(attr_index.get, names, repeat(missing))
+    return np.fromiter(chain(ids, (missing,)), np.intp, len(names) + 1)
 
 
 def _build_attr_index(columns: Sequence[Column]) -> dict[str, int]:
@@ -670,6 +675,7 @@ def train(
     config.max_iterations accepted steps, whichever is first, or when the
     line search finds no acceptable step; meta.stopped_by names the rule.
     """
+    _check_labels(labels)
     batch = _as_columns(dataset)
     if not len(batch.lengths):
         raise ValueError("dataset must be non-empty")

@@ -11,8 +11,9 @@ in first-seen order, so this order decides the model bytes.
 `feature_columns` is the one place that builds attributes. It works over a
 batch of sequences, one template column at a time in canonical order, with
 characters interned as integer ids: a column is one integer code per
-position, and attribute strings are rendered only for the codes that occur.
-It checks the resources it needs once per batch. Columns are what the
+position into a list of attribute strings. The offsets of one template share
+its code space, so a column's strings may include some that fire nowhere at
+that offset. It checks the resources it needs once per batch. Columns are what the
 model layer consumes: training encodes a whole training set's columns at
 once (`evaluation.training_set`, `crf.train`) and decoding looks each
 column's few strings up in the model (`crf.column_scores`), so neither makes
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -34,8 +36,9 @@ from .lexicons import (
     PMI_NA,
     LexiconSet,
     RHYME_SOURCES,
+    _entity_codes,
     pmi_bin,
-    tag_entities,
+    tag_entities,  # noqa: F401  stays importable: the traced benchmark run wraps it
 )
 
 BOS = "<BOS>"
@@ -129,15 +132,6 @@ def extract_features(
     return featurize_chars(seq, cfg, lex)[pos]
 
 
-def _distinct(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, codes) of one column of integer keys, -1 firing nothing: the
-    distinct keys that fire, and each position's index into them or -1."""
-    keys, codes = np.unique(raw, return_inverse=True)
-    if len(keys) and keys[0] < 0:
-        keys, codes = keys[1:], codes - 1
-    return keys, codes
-
-
 def feature_columns(
     seqs: Sequence[Sequence[str]],
     cfg: FeatureConfig,
@@ -148,10 +142,18 @@ def feature_columns(
 
     Yields (names, codes): `codes` holds one integer per position of the
     batch, an index into `names`, or -1 where the template fires nothing
-    there. `names` holds only attributes that occur; two codes can render
-    the same string when multi-character tokens run together (the bigrams
-    of ["C1", "C2"] and ["C", "1C2"]). Columns are made one at a time, so
-    no [positions, columns] array is ever built.
+    there. All offsets of a template share one code space, so `names` may
+    hold attributes that fire nowhere at that offset, and two codes can
+    render the same string when multi-character tokens run together (the
+    bigrams of ["C1", "C2"] and ["C", "1C2"]). Columns are made one at a
+    time, so no [positions, columns] array is ever built.
+
+    The code spaces: unigram codes are token ids; rhyme codes are class
+    ids, looked up per token id; bigram codes index the distinct adjacent
+    pairs of the padded batch, found by its one sort; PMI bins are set per
+    table pair and read through the same pair codes; entity tags come from
+    the batch tagger over token ids (lexicons._entity_codes, which
+    tag_entities runs on one sequence).
     """
     if cfg.use_words and lex.entities is None:
         raise ValueError("word features requested but no entity lexicon loaded")
@@ -159,81 +161,71 @@ def feature_columns(
     if cfg.use_pmi and lex.pmi is None:
         raise ValueError("PMI features requested but no PMI table loaded")
     k, n = cfg.k, len(seqs)
-    vocab = {BOS: 0, EOS: 1}
-    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    lengths = np.fromiter(map(len, seqs), np.intp, n)
     total = int(lengths.sum())
-    ids = np.array([vocab.setdefault(c, len(vocab)) for s in seqs for c in s], dtype=np.intp)
+    # two passes over the tokens, so no per-position list is held
+    vocab = dict(zip(dict.fromkeys(chain.from_iterable(seqs)), count()))
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(seqs)), np.intp, total)
+    # the batch's own tokens; the padding tokens follow unless a sequence holds them
+    seen = list(vocab)
+    bos, eos = vocab.setdefault(BOS, len(vocab)), vocab.setdefault(EOS, len(vocab))
     tokens, V = list(vocab), len(vocab)
     # each sequence padded by k BOS and k EOS, laid end to end; position r of
     # the batch is padded[base[r]]
     starts = np.cumsum(lengths) - lengths
     base = np.arange(total) + np.repeat(k * (2 * np.arange(n) + 1), lengths)
-    padded = np.full(total + 2 * k * n, vocab[EOS])
-    padded[(starts + 2 * k * np.arange(n))[:, None] + np.arange(k)] = vocab[BOS]
+    padded = np.full(total + 2 * k * n, eos)
+    padded[(starts + 2 * k * np.arange(n))[:, None] + np.arange(k)] = bos
     padded[base] = ids
-
-    def at(i: int) -> np.ndarray:
-        """Character ids at offset i from every position, padded per sequence."""
-        return padded[base + i]
 
     for i in range(-k, k + 1):
         prefix = f"w[{i}]="
-        keys, codes = _distinct(at(i))
-        yield [f"{prefix}{tokens[v]}" for v in keys.tolist()], codes
+        yield [prefix + t for t in tokens], padded[base + i]
+    if cfg.use_bigrams or cfg.use_pmi:
+        # pair p is (padded[p], padded[p + 1]); one EOS past the end gives
+        # the batch's last position a pair when k = 0
+        pair_keys = padded * V + np.append(padded[1:], eos)
+        keys, pair_codes = np.unique(pair_keys, return_inverse=True)
     if cfg.use_bigrams:
-        right = at(-k)
+        lefts, rights = np.divmod(keys, V)
+        pairs = [tokens[a] + tokens[b] for a, b in zip(lefts.tolist(), rights.tolist())]
         for i in range(-k, k):
-            left, right = right, at(i + 1)
             prefix = f"w[{i}_{i + 1}]="
-            keys, codes = _distinct(left * V + right)
-            firsts, seconds = np.divmod(keys, V)
-            yield [
-                f"{prefix}{tokens[a]}{tokens[b]}"
-                for a, b in zip(firsts.tolist(), seconds.tolist())
-            ], codes
+            yield [prefix + pair for pair in pairs], pair_codes[base + i]
     if rhymes is not None:
         classes = [rhymes.classes(t) for t in tokens]
         class_ids: dict[str, int] = {}
-        # slots[s, v]: the s-th class of character id v, or -1
+        # slots[s, v]: the s-th class of token id v, or -1
         slots = np.full((max(map(len, classes)), V), -1)
         for v, cs in enumerate(classes):
             for s, c in enumerate(cs):
                 slots[s, v] = class_ids.setdefault(c, len(class_ids))
-        class_names = list(class_ids)
         for i in range(-k, k + 1):
-            near = at(i)
+            names = [f"ry[{i}]={c}" for c in class_ids]
+            near = padded[base + i]
             for slot in slots:
-                keys, codes = _distinct(slot[near])
-                yield [f"ry[{i}]={class_names[c]}" for c in keys.tolist()], codes
+                yield names, slot[near]
     if cfg.use_words:
-        tag_ids: dict[str, int] = {}
-        tags = np.fromiter(
-            (
-                -1 if tag is None else tag_ids.setdefault(tag, len(tag_ids))
-                for s in seqs
-                for tag in tag_entities(s, lex.entities)
-            ),
-            np.intp,
-            total,
-        )
-        # ids are handed out in first-seen order, so every one occurs
-        yield [f"ne[0]={tag}" for tag in tag_ids], tags
+        tags, codes = _entity_codes(seen, ids, lengths, lex.entities)
+        yield [f"ne[0]={tag}" for tag in tags], codes
     if cfg.use_pmi:
-        # each distinct (position, next position) pair is binned once; a
-        # sequence's last position has no right pair, its first no left one
-        first = starts[lengths > 0]
-        last = np.zeros(total, dtype=bool)
-        last[np.cumsum(lengths)[lengths > 0] - 1] = True
-        keys, pairs = _distinct(np.where(last, -1, ids * V + np.roll(ids, -1)))
         bin_ids = {PMI_NA: 0}
-        pair_bins = [
-            bin_ids.setdefault(pmi_bin(lex.pmi.value(tokens[a], tokens[b])), len(bin_ids))
-            for a, b in zip(*(half.tolist() for half in np.divmod(keys, V)))
+        table = [
+            (vocab[a] * V + vocab[b], bin_ids.setdefault(pmi_bin(value), len(bin_ids)))
+            for (a, b), value in lex.pmi.pmi.items()
+            if a in vocab and b in vocab
         ]
-        # pair code -1 (a last position) takes the appended PMI_NA
-        right = np.array(pair_bins + [0], dtype=np.intp)[pairs]
+        table_keys, table_bins = np.array(table, dtype=np.intp).reshape(-1, 2).T
+        where = np.searchsorted(keys, table_keys)
+        # a code past the last key never matches
+        hit = np.append(keys, -1)[where] == table_keys
+        pair_bins = np.zeros(len(keys), dtype=np.intp)
+        pair_bins[where[hit]] = table_bins[hit]
+        # a sequence's last position has no right pair, its first no left one
+        right = pair_bins[pair_codes[base]]
+        right[np.cumsum(lengths)[lengths > 0] - 1] = 0
         left = np.roll(right, 1)
-        left[first] = 0
+        left[starts[lengths > 0]] = 0
         yield [f"pmi[-1_0]={b}" for b in bin_ids], left
         yield [f"pmi[0_1]={b}" for b in bin_ids], right
 

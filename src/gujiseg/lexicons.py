@@ -13,7 +13,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
+
+# The taggers import numpy when they run: prepare and pmi-build load this
+# module and no numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -57,9 +62,14 @@ class EntityLexicon:
     entries: dict[str, str]
 
     @cached_property
-    def prefixes(self) -> frozenset[str]:
-        """Every prefix of every entry: the empty one and the entries too."""
-        return frozenset(word[:i] for word in self.entries for i in range(len(word) + 1))
+    def prefixes(self) -> dict[str, int]:
+        """Every prefix of every entry, the empty one and the entries too,
+        numbered from 0 for the empty one: the nodes of the entries' trie."""
+        nodes = {"": 0}
+        for word in self.entries:
+            for i in range(1, len(word) + 1):
+                nodes.setdefault(word[:i], len(nodes))
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -143,7 +153,7 @@ def load_entity_lexicon(source: str | TextIO) -> EntityLexicon:
 
 
 def tag_entities(chars: Sequence[str], lexicon: EntityLexicon) -> list[EntityTag]:
-    """Greedy left-to-right longest-match tagging.
+    """Greedy left-to-right longest-match tagging of one sequence.
 
     From each start, tokens are joined one at a time while the join is a
     prefix of an entry; the longest join that is an entry wins. A token may
@@ -151,31 +161,97 @@ def tag_entities(chars: Sequence[str], lexicon: EntityLexicon) -> list[EntityTag
     tokens, so an empty token inside or right after a match belongs to it.
     Matched spans get positional tags: B/I/E for length >= 3, B/E for
     length 2, S for a single token. Untagged positions stay None.
+
+    This is the batch tagger, _entity_codes, on a batch of one sequence.
+    feature_columns calls _entity_codes once per batch; the `ne` column's
+    names are every tag of every entry type, so some may fire nowhere.
     """
-    n = len(chars)
-    tags: list[EntityTag] = [None] * n
-    entries, prefixes = lexicon.entries, lexicon.prefixes
-    i = 0
-    while i < n:
-        match_len, match_type, join = 0, "", ""
-        for j in range(i, n):
-            join += chars[j]
-            if join not in prefixes:
-                break
-            if join in entries:
-                match_len, match_type = j - i + 1, entries[join]
-        if match_len == 0:
-            i += 1
-            continue
-        if match_len == 1:
-            tags[i] = f"{match_type}-S"
-        else:
-            tags[i] = f"{match_type}-B"
-            for j in range(i + 1, i + match_len - 1):
-                tags[j] = f"{match_type}-I"
-            tags[i + match_len - 1] = f"{match_type}-E"
-        i += match_len
-    return tags
+    import numpy as np
+
+    tokens = list(dict.fromkeys(chars))
+    vocab = {token: v for v, token in enumerate(tokens)}
+    ids = np.fromiter(map(vocab.__getitem__, chars), np.intp, len(chars))
+    names, codes = _entity_codes(tokens, ids, np.array([len(chars)]), lexicon)
+    return [None if code < 0 else names[code] for code in codes.tolist()]
+
+
+def _entity_codes(
+    tokens: Sequence[str], ids: np.ndarray, lengths: np.ndarray, lexicon: EntityLexicon
+) -> tuple[list[str], np.ndarray]:
+    """tag_entities over a batch of sequences laid end to end, given as ids
+    into `tokens`, each sequence `lengths[s]` long.
+
+    Returns (names, codes): `codes` holds one integer per position, entry
+    type index * 4 + B/S/I/E, an index into `names`, or -1 where nothing is
+    tagged. `names` holds every tag of every entry type, so some may be
+    tagged nowhere.
+
+    The trie's transitions from node q on token v are sorted keys q * V + v:
+    a token joined to a prefix makes another prefix. Every start is walked
+    at once, one token per step and one searchsorted per step, and no walk
+    crosses the end of its sequence. Each start keeps its longest match; one
+    pass over the matching starts in order then keeps the greedy
+    left-to-right ones.
+    """
+    import numpy as np
+
+    nodes, V = lexicon.prefixes, len(tokens)
+    vocab = {token: v for v, token in enumerate(tokens)}
+    # one-character tokens step from a prefix's parent to it; a token of
+    # several characters or none is joined to every prefix
+    edges = [
+        (nodes[q[:-1]] * V + vocab[q[-1]], node)
+        for q, node in nodes.items()
+        if q and q[-1] in vocab
+    ]
+    edges += [
+        (node * V + v, nodes[q + t])
+        for v, t in enumerate(tokens)
+        if len(t) != 1
+        for q, node in nodes.items()
+        if q + t in nodes
+    ]
+    keys, children = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    order = np.argsort(keys)
+    keys, children = keys[order], children[order]
+    # a key past the last one never matches
+    padded_keys = np.append(keys, -1)
+    types = list(dict.fromkeys(lexicon.entries.values()))
+    kind_of = {etype: i for i, etype in enumerate(types)}
+    kinds = np.array([kind_of.get(lexicon.entries.get(q), -1) for q in nodes], dtype=np.intp)
+
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    size = np.zeros(len(ids), dtype=np.intp)
+    kind = np.zeros(len(ids), dtype=np.intp)
+    starts = np.arange(len(ids))
+    node = np.zeros(len(ids), dtype=np.intp)
+    depth = 0
+    while len(starts):
+        inside = starts + depth < ends[starts]
+        starts, node = starts[inside], node[inside]
+        key = node * V + ids[starts + depth]
+        where = np.searchsorted(keys, key)
+        found = padded_keys[where] == key
+        starts, node = starts[found], children[where[found]]
+        depth += 1
+        entry = kinds[node] >= 0
+        size[starts[entry]] = depth
+        kind[starts[entry]] = kinds[node[entry]]
+
+    taken, free = [], 0
+    matched = np.flatnonzero(size)
+    for start, length in zip(matched.tolist(), size[matched].tolist()):
+        if start >= free:
+            taken.append(start)
+            free = start + length
+    taken = np.array(taken, dtype=np.intp)
+    span = size[taken]
+    offset = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+    codes = np.full(len(ids), -1, dtype=np.intp)
+    codes[np.repeat(taken, span) + offset] = (
+        np.repeat(kind[taken] * 4, span) + 2 * (offset > 0) + (offset == np.repeat(span, span) - 1)
+    )
+    return [f"{etype}-{role}" for etype in types for role in "BSIE"], codes
 
 
 def build_pmi_table(train, min_count: int = 5) -> PmiTable:

@@ -97,6 +97,15 @@ class TestPrepare:
         assert "character '\\t'" in capsys.readouterr().err
         assert not (tmp_path / "out.tsv.manifest.json").exists()
 
+    def test_refusal_keeps_existing_corpus(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("天地\t玄黃，宇宙洪荒。\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        out.write_bytes("天\tO\n地\tM\n".encode("utf-8"))
+        rc = main(["prepare", str(raw), "-o", str(out), "--min-length", "0", "--discard", "x"])
+        assert rc == 2
+        assert out.read_bytes() == "天\tO\n地\tM\n".encode("utf-8")
+
     def test_manifest_written(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
         raw.write_text("天地玄黃，宇宙洪荒。\n", encoding="utf-8")

@@ -1203,3 +1203,11 @@ class TestModelValidation:
     def test_repeated_labels_rejected(self):
         with pytest.raises(ValueError, match="repeated label"):
             train([([["a"], ["b"]], ["O", "O"])], TrainConfig(max_iterations=1), labels=("O", "O"))
+
+    def test_repeated_labels_rejected_before_encoding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was encoded")
+
+        monkeypatch.setattr(crf, "_Encoded", refuse)
+        with pytest.raises(ValueError, match="repeated label"):
+            train([([["a"], ["b"]], ["O", "O"])], TrainConfig(max_iterations=1), labels=("O", "O"))

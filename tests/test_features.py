@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gujiseg.corpus import Document, labelize
@@ -12,6 +12,7 @@ from gujiseg.features import (
     Instance,
     extract_features,
     extract_instances,
+    feature_columns,
     featurize_chars,
 )
 from gujiseg.lexicons import (
@@ -270,6 +271,37 @@ class TestExtraction:
         assert len(feats) == len(chars)
         for pos in range(len(chars)):
             assert feats[pos] == brute_features(chars, pos, cfg, self.ORACLE_LEX)
+
+    @given(
+        batch=st.lists(
+            st.one_of(
+                st.text(alphabet=ALPHABET, max_size=8),
+                st.lists(st.sampled_from(list(ALPHABET) + ["C1", "C2"]), max_size=8),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        k=st.integers(min_value=0, max_value=3),
+        use_bigrams=st.booleans(),
+        pronunciation=st.sampled_from([None, GUANGYUN, PINGSHUIYUN]),
+        use_words=st.booleans(),
+        use_pmi=st.booleans(),
+    )
+    # k = 0 leaves no padding after the batch's last position
+    @example(batch=["天地", "", "玄黃"], k=0, use_bigrams=False, pronunciation=None,
+             use_words=False, use_pmi=True)
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_each_sequence_alone(
+        self, batch, k, use_bigrams, pronunciation, use_words, use_pmi
+    ):
+        cfg = FeatureConfig(k, use_bigrams, pronunciation, use_words, use_pmi)
+        rows = [[] for _ in range(sum(map(len, batch)))]
+        for names, codes in feature_columns(batch, cfg, self.ORACLE_LEX):
+            assert len(codes) == len(rows)
+            for row, code in zip(rows, codes.tolist()):
+                if code >= 0:
+                    row.append(names[code])
+        assert rows == [row for seq in batch for row in featurize_chars(seq, cfg, self.ORACLE_LEX)]
 
     def test_deterministic(self):
         cfg = FeatureConfig(k=2, use_bigrams=True)

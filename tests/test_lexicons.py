@@ -8,10 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gujiseg.corpus import LabeledSequence
+from gujiseg.features import FeatureConfig, feature_columns
 from gujiseg.lexicons import (
+    ENTITY_TYPES,
     GUANGYUN,
+    OFFICE,
     PINGSHUIYUN,
+    PLACE,
     PMI_NA,
+    REIGN,
     EntityLexicon,
     LexiconFormatError,
     LexiconSet,
@@ -141,6 +146,40 @@ class TestTagEntities:
                     j += 1
                 assert tags[j] == f"{etype}-E"
                 i = j + 1
+
+    # tokens of one, two and no characters
+    TOKENS = list("天地玄黃") + ["C1", "C2", ""]
+
+    @staticmethod
+    @st.composite
+    def lexicons(draw):
+        # each drawn word may bring some of its prefixes along, so that
+        # entries prefix one another
+        entries = {}
+        for word in draw(st.lists(st.lists(st.sampled_from(TestTagEntities.TOKENS), min_size=1,
+                                           max_size=4), max_size=6)):
+            for cut in sorted(draw(st.sets(st.integers(1, len(word)), min_size=1))):
+                if "".join(word[:cut]):  # the loader rejects an empty word
+                    entries.setdefault("".join(word[:cut]), draw(st.sampled_from(sorted(ENTITY_TYPES))))
+        return EntityLexicon(entries)
+
+    @given(
+        lex=lexicons(),
+        batch=st.lists(st.lists(st.sampled_from(TOKENS), max_size=10), min_size=1, max_size=5),
+    )
+    # a match that would cross from one sequence into the next
+    @example(lex=EntityLexicon({"天地": PLACE, "天": REIGN}), batch=[["天"], ["地", "天"], ["地"]])
+    @example(lex=EntityLexicon({"C1C2": OFFICE}), batch=[["C1"], [], ["C2", "C1", "", "C2"]])
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_brute_force_per_sequence(self, lex, batch):
+        cfg = FeatureConfig(k=0, use_words=True)
+        names, codes = list(feature_columns(batch, cfg, LexiconSet(entities=lex)))[-1]
+        want = [
+            None if tag is None else f"ne[0]={tag}"
+            for seq in batch
+            for tag in brute_tag_entities(seq, lex)
+        ]
+        assert [None if code < 0 else names[code] for code in codes.tolist()] == want
 
 
 class TestPmiTable:
