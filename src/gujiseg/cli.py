@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import importlib
-import io
 import json
 import logging
 import os
@@ -37,6 +36,7 @@ from .corpus import (
     CorpusFormatError,
     EmptySequenceError,
     LabeledSequence,
+    _check_labeled_corpus,
     corpus_stats,
     filter_short,
     labelize,
@@ -215,11 +215,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             empty += 1
     kept = filter_short(labeled, args.min_length)
     stats = corpus_stats(kept)
-    # written in memory first: a refused corpus leaves the file at -o as it was
-    corpus = io.StringIO()
-    write_labeled_corpus(kept, corpus)
+    # checked before -o is opened: a refused corpus leaves the file as it was
+    _check_labeled_corpus(kept)
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(corpus.getvalue())
+        write_labeled_corpus(kept, fh)
     _write_manifest(args.output, args, [args.corpus], started)
     report = [
         ("docs_parsed", len(docs)),

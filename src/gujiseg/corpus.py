@@ -196,30 +196,29 @@ def corpus_stats(docs: Iterable[LabeledSequence]) -> CorpusStats:
 
 def reinsert_marks(seq: LabeledSequence, mark: str = "，") -> str:
     """Rebuild punctuated text by placing `mark` after every M character."""
-    pieces, start = [], 0
-    end = seq.labels.find(M)
-    while end >= 0:
-        pieces.append(seq.chars[start : end + 1])
-        start = end + 1
-        end = seq.labels.find(M, start)
-    pieces.append(seq.chars[start:])
-    return mark.join(pieces)
+    return "".join(c + mark if l == M else c for c, l in zip(seq.chars, seq.labels))
 
 
-def write_labeled_corpus(docs: Iterable[LabeledSequence], sink: TextIO) -> None:
-    """Write the labeled-corpus format: char<TAB>label lines, blank line
-    between sequences.
-
-    Raises ValueError, naming the document and the character, before
-    anything is written if a character is a tab or one that str.splitlines()
-    breaks on, since read_labeled_corpus could not read it back."""
-    docs = list(docs)
+def _check_labeled_corpus(docs: Iterable[LabeledSequence]) -> None:
+    """Raise ValueError, naming the document and the character, if a
+    character is a tab or one that str.splitlines() breaks on, since
+    read_labeled_corpus could not read it back."""
     for doc in docs:
         if "\t" in doc.chars or len((doc.chars + ".").splitlines()) > 1:
             bad = next(c for c in doc.chars if c == "\t" or len((c + ".").splitlines()) > 1)
             raise ValueError(
                 f"document {doc.doc_id}: character {bad!r} cannot be read back from a labeled corpus"
             )
+
+
+def write_labeled_corpus(docs: Iterable[LabeledSequence], sink: TextIO) -> None:
+    """Write the labeled-corpus format: char<TAB>label lines, blank line
+    between sequences.
+
+    Raises ValueError before anything is written if _check_labeled_corpus
+    refuses a document."""
+    docs = list(docs)
+    _check_labeled_corpus(docs)
     first = True
     for doc in docs:
         if not first:

@@ -33,11 +33,10 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .lexicons import (
-    PMI_NA,
     LexiconSet,
     RHYME_SOURCES,
     _entity_codes,
-    pmi_bin,
+    _pmi_codes,
     tag_entities,  # noqa: F401  stays importable: the traced benchmark run wraps it
 )
 
@@ -150,10 +149,13 @@ def feature_columns(
 
     The code spaces: unigram codes are token ids; rhyme codes are class
     ids, looked up per token id; bigram codes index the distinct adjacent
-    pairs of the padded batch, found by its one sort; PMI bins are set per
-    table pair and read through the same pair codes; entity tags come from
-    the batch tagger over token ids (lexicons._entity_codes, which
-    tag_entities runs on one sequence).
+    pairs of the padded batch, found by its one sort; PMI bins are looked
+    up per distinct pair (lexicons._pmi_codes) and read through the same
+    pair codes; entity tags come from the batch tagger over token ids
+    (lexicons._entity_codes, which tag_entities runs on one sequence). The
+    resource side of both lookups is built once per resource, so a batch
+    pays for its own tokens and pairs, not for the size of the lexicon or
+    the PMI table.
     """
     if cfg.use_words and lex.entities is None:
         raise ValueError("word features requested but no entity lexicon loaded")
@@ -186,8 +188,8 @@ def feature_columns(
         # the batch's last position a pair when k = 0
         pair_keys = padded * V + np.append(padded[1:], eos)
         keys, pair_codes = np.unique(pair_keys, return_inverse=True)
-    if cfg.use_bigrams:
         lefts, rights = np.divmod(keys, V)
+    if cfg.use_bigrams:
         pairs = [tokens[a] + tokens[b] for a, b in zip(lefts.tolist(), rights.tolist())]
         for i in range(-k, k):
             prefix = f"w[{i}_{i + 1}]="
@@ -209,25 +211,14 @@ def feature_columns(
         tags, codes = _entity_codes(seen, ids, lengths, lex.entities)
         yield [f"ne[0]={tag}" for tag in tags], codes
     if cfg.use_pmi:
-        bin_ids = {PMI_NA: 0}
-        table = [
-            (vocab[a] * V + vocab[b], bin_ids.setdefault(pmi_bin(value), len(bin_ids)))
-            for (a, b), value in lex.pmi.pmi.items()
-            if a in vocab and b in vocab
-        ]
-        table_keys, table_bins = np.array(table, dtype=np.intp).reshape(-1, 2).T
-        where = np.searchsorted(keys, table_keys)
-        # a code past the last key never matches
-        hit = np.append(keys, -1)[where] == table_keys
-        pair_bins = np.zeros(len(keys), dtype=np.intp)
-        pair_bins[where[hit]] = table_bins[hit]
+        bins, pair_bins = _pmi_codes(tokens, lefts, rights, lex.pmi)
         # a sequence's last position has no right pair, its first no left one
         right = pair_bins[pair_codes[base]]
         right[np.cumsum(lengths)[lengths > 0] - 1] = 0
         left = np.roll(right, 1)
         left[starts[lengths > 0]] = 0
-        yield [f"pmi[-1_0]={b}" for b in bin_ids], left
-        yield [f"pmi[0_1]={b}" for b in bin_ids], right
+        yield [f"pmi[-1_0]={b}" for b in bins], left
+        yield [f"pmi[0_1]={b}" for b in bins], right
 
 
 def featurize_chars(

@@ -10,9 +10,12 @@ from __future__ import annotations
 import logging
 import math
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 # The taggers import numpy when they run: prepare and pmi-build load this
@@ -62,14 +65,39 @@ class EntityLexicon:
     entries: dict[str, str]
 
     @cached_property
-    def prefixes(self) -> dict[str, int]:
-        """Every prefix of every entry, the empty one and the entries too,
-        numbered from 0 for the empty one: the nodes of the entries' trie."""
-        nodes = {"": 0}
-        for word in self.entries:
-            for i in range(1, len(word) + 1):
-                nodes.setdefault(word[:i], len(nodes))
-        return nodes
+    def _trie(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, list[str]]:
+        """The entries' trie as arrays, made once per lexicon for _entity_codes.
+
+        Its nodes are every prefix of every entry, numbered from 0 for the
+        empty one, and node p[:-1] steps to node p on the character p[-1].
+        Returns (chars, keys, children, kinds, types): the entries'
+        characters numbered; the steps as sorted keys node(p[:-1]) *
+        len(chars) + chars[p[-1]], with their child nodes, then one key
+        past every step with child -1, so that searchsorted always lands on
+        a key; each node's index into `types` if it is an entry, else -1;
+        the entry types in first-seen order.
+        """
+        import numpy as np
+
+        words = self.entries
+        nodes = dict.fromkeys(chain([""], (w[:i] for w in words for i in range(1, len(w) + 1))))
+        nodes = dict(zip(nodes, count()))
+        chars = dict(zip(dict.fromkeys("".join(words)), count()))
+        prefixes = list(nodes)[1:]
+        parents = np.fromiter(map(nodes.__getitem__, (p[:-1] for p in prefixes)), np.intp,
+                              len(prefixes))
+        last = np.fromiter(map(chars.__getitem__, (p[-1] for p in prefixes)), np.intp,
+                           len(prefixes))
+        keys = parents * len(chars) + last
+        order = np.argsort(keys)
+        types = list(dict.fromkeys(words.values()))
+        kind_of = {etype: i for i, etype in enumerate(types)}
+        kinds = np.fromiter(map(kind_of.get, map(words.get, nodes), repeat(-1)), np.intp,
+                            len(nodes))
+        # prefix i is node i + 1
+        past = np.iinfo(keys.dtype).max
+        keys, children = np.append(keys[order], past), np.append(order + 1, -1)
+        return chars, keys, children, kinds, types
 
 
 @dataclass(frozen=True)
@@ -79,6 +107,31 @@ class PmiTable:
 
     def value(self, a: str, b: str) -> float | None:
         return self.pmi.get((a, b))
+
+    @cached_property
+    def _bins(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+        """The table as arrays, made once per table for _pmi_codes.
+
+        Returns (ids, keys, bins): the tokens of its pairs numbered, each
+        pair (a, b) as key ids[a] * len(ids) + ids[b], sorted, and its bin,
+        an index into _PMI_BINS; then one key past every pair with bin 0
+        (PMI_NA), so that searchsorted always lands on a key.
+        """
+        import numpy as np
+
+        ids = dict(zip(dict.fromkeys(chain.from_iterable(self.pmi)), count()))
+        lefts, rights = (
+            np.fromiter(map(ids.__getitem__, map(itemgetter(side), self.pmi)), np.intp,
+                        len(self.pmi))
+            for side in (0, 1)
+        )
+        keys = lefts * len(ids) + rights
+        # pmi_bin's rule, + 1 for PMI_NA
+        values = np.fromiter(self.pmi.values(), float, len(self.pmi))
+        bins = np.searchsorted(_PMI_BIN_EDGES, values, side="right") + 1
+        order = np.argsort(keys)
+        past = np.iinfo(keys.dtype).max
+        return ids, np.append(keys[order], past), np.append(bins[order], 0)
 
 
 @dataclass
@@ -186,53 +239,47 @@ def _entity_codes(
     tagged. `names` holds every tag of every entry type, so some may be
     tagged nowhere.
 
-    The trie's transitions from node q on token v are sorted keys q * V + v:
-    a token joined to a prefix makes another prefix. Every start is walked
-    at once, one token per step and one searchsorted per step, and no walk
-    crosses the end of its sequence. Each start keeps its longest match; one
-    pass over the matching starts in order then keeps the greedy
-    left-to-right ones.
+    The trie's steps are the lexicon's sorted keys (EntityLexicon._trie),
+    so a batch only spells its own tokens in the lexicon's characters. Every
+    start is walked at once, one token per step and no walk past the end of
+    its sequence; a token steps through its characters with one
+    searchsorted each, and an empty token stays where it is. Each start
+    keeps its longest match; one pass over the matching starts in order
+    then keeps the greedy left-to-right ones.
     """
     import numpy as np
 
-    nodes, V = lexicon.prefixes, len(tokens)
-    vocab = {token: v for v, token in enumerate(tokens)}
-    # one-character tokens step from a prefix's parent to it; a token of
-    # several characters or none is joined to every prefix
-    edges = [
-        (nodes[q[:-1]] * V + vocab[q[-1]], node)
-        for q, node in nodes.items()
-        if q and q[-1] in vocab
-    ]
-    edges += [
-        (node * V + v, nodes[q + t])
-        for v, t in enumerate(tokens)
-        if len(t) != 1
-        for q, node in nodes.items()
-        if q + t in nodes
-    ]
-    keys, children = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    order = np.argsort(keys)
-    keys, children = keys[order], children[order]
-    # a key past the last one never matches
-    padded_keys = np.append(keys, -1)
-    types = list(dict.fromkeys(lexicon.entries.values()))
-    kind_of = {etype: i for i, etype in enumerate(types)}
-    kinds = np.array([kind_of.get(lexicon.entries.get(q), -1) for q in nodes], dtype=np.intp)
+    chars, keys, children, kinds, types = lexicon._trie
+    # token v is spelled[firsts[v]:firsts[v] + lens[v]], -1 for a
+    # character in no entry, and one -1 past the end
+    lens = np.fromiter(map(len, tokens), np.intp, len(tokens))
+    firsts = np.cumsum(lens) - lens
+    spelled = np.fromiter(chain(map(chars.get, "".join(tokens), repeat(-1)), (-1,)), np.intp,
+                          lens.sum() + 1)
 
     ends = np.repeat(np.cumsum(lengths), lengths)
     size = np.zeros(len(ids), dtype=np.intp)
     kind = np.zeros(len(ids), dtype=np.intp)
-    starts = np.arange(len(ids))
-    node = np.zeros(len(ids), dtype=np.intp)
+    # a match starts at a token that is empty or whose first character is in some entry
+    starts = np.flatnonzero(((lens == 0) | (spelled[firsts] >= 0))[ids])
+    node = np.zeros(len(starts), dtype=np.intp)
     depth = 0
     while len(starts):
         inside = starts + depth < ends[starts]
         starts, node = starts[inside], node[inside]
-        key = node * V + ids[starts + depth]
-        where = np.searchsorted(keys, key)
-        found = padded_keys[where] == key
-        starts, node = starts[found], children[where[found]]
+        token = ids[starts + depth]
+        at, stop = firsts[token], firsts[token] + lens[token]
+        moving = np.flatnonzero(at < stop)
+        while len(moving):
+            char = spelled[at[moving]]
+            key = node[moving] * len(chars) + char
+            where = np.searchsorted(keys, key)
+            found = (char >= 0) & (keys[where] == key)
+            # node -1: no prefix
+            node[moving] = np.where(found, children[where], -1)
+            at[moving] += 1
+            moving = moving[found & (at[moving] < stop[moving])]
+        starts, node = starts[node >= 0], node[node >= 0]
         depth += 1
         entry = kinds[node] >= 0
         size[starts[entry]] = depth
@@ -252,6 +299,28 @@ def _entity_codes(
         np.repeat(kind[taken] * 4, span) + 2 * (offset > 0) + (offset == np.repeat(span, span) - 1)
     )
     return [f"{etype}-{role}" for etype in types for role in "BSIE"], codes
+
+
+def _pmi_codes(
+    tokens: Sequence[str], lefts: np.ndarray, rights: np.ndarray, table: PmiTable
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The PMI bins of pairs (tokens[lefts[p]], tokens[rights[p]]).
+
+    Returns (names, codes): `codes` holds one index into `names`, the bin
+    labels with PMI_NA first, per pair. The table's pairs are sorted keys
+    (PmiTable._bins), so a batch only maps its own tokens onto the table's
+    tokens and finds its pairs with one searchsorted.
+    """
+    import numpy as np
+
+    ids, keys, bins = table._bins
+    # each token's id in the table, -1 for one that is in no pair
+    table_ids = np.fromiter(map(ids.get, tokens, repeat(-1)), np.intp, len(tokens))
+    a, b = table_ids[lefts], table_ids[rights]
+    key = a * len(ids) + b
+    where = np.searchsorted(keys, key)
+    found = (a >= 0) & (b >= 0) & (keys[where] == key)
+    return _PMI_BINS, np.where(found, bins[where], 0)
 
 
 def build_pmi_table(train, min_count: int = 5) -> PmiTable:
@@ -282,6 +351,7 @@ def build_pmi_table(train, min_count: int = 5) -> PmiTable:
 
 _PMI_BIN_EDGES = (0.0, 2.0, 4.0, 6.0)
 _PMI_BIN_LABELS = ("PMI<0", "PMI0-2", "PMI2-4", "PMI4-6", "PMI>=6")
+_PMI_BINS = (PMI_NA,) + _PMI_BIN_LABELS
 
 
 def pmi_bin(value: float | None) -> str:
@@ -289,10 +359,7 @@ def pmi_bin(value: float | None) -> str:
     edges at 0, 2, 4, 6). None (absent pair) maps to PMI_NA."""
     if value is None:
         return PMI_NA
-    for edge, label in zip(_PMI_BIN_EDGES, _PMI_BIN_LABELS):
-        if value < edge:
-            return label
-    return _PMI_BIN_LABELS[-1]
+    return _PMI_BIN_LABELS[bisect_right(_PMI_BIN_EDGES, value)]
 
 
 def save_pmi_table(table: PmiTable, sink: TextIO) -> None:

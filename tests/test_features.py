@@ -206,6 +206,12 @@ class TestPmiFeatures:
         got = extract_features(SENT.chars, 2, cfg, lex)
         assert got == ["w[0]=天", "pmi[-1_0]=PMI_NA", "pmi[0_1]=PMI_NA"]
 
+    def test_na_when_one_token_is_in_no_pair(self):
+        # 宇 is in no pair of the table, so 地宇 must not be read as another of its pairs
+        lex = LexiconSet(pmi=PmiTable(100, {("天", "地"): 5.0, ("地", "玄"): 1.0, ("天", "玄"): 3.0}))
+        got = featurize_chars("地宇", FeatureConfig(k=0, use_pmi=True), lex)
+        assert got[0] == ["w[0]=地", "pmi[-1_0]=PMI_NA", "pmi[0_1]=PMI_NA"]
+
     def test_known_pair_binned(self):
         lex = LexiconSet(pmi=PmiTable(100, {("天", "啟"): 4.5}))
         cfg = FeatureConfig(k=0, use_pmi=True)

@@ -147,8 +147,8 @@ class TestTagEntities:
                 assert tags[j] == f"{etype}-E"
                 i = j + 1
 
-    # tokens of one, two and no characters
-    TOKENS = list("天地玄黃") + ["C1", "C2", ""]
+    # tokens of one, two and no characters; "C" + "1C" + "2" spells "C1C2"
+    TOKENS = list("天地玄黃") + ["C1", "C2", "C", "1C", "2", ""]
 
     @staticmethod
     @st.composite
