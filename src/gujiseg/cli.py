@@ -237,6 +237,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = datetime.now(timezone.utc).isoformat()
+    train_cfg = _train_config(args)  # a bad flag fails before any work
     docs = read_labeled_corpus(read_text_utf8(args.corpus))
     if not docs:
         raise ConfigurationError(f"no sequences in {args.corpus}")
@@ -252,7 +253,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         lexicons = LexiconSet(lexicons.rhyme_dicts, lexicons.entities, table)
     logger.info("attributes of the first position: %s",
                 " ".join(featurize_chars(docs[0].chars, cfg, lexicons)[0]))
-    model = train(training_set(docs, cfg, lexicons), _train_config(args), cfg)
+    model = train(training_set(docs, cfg, lexicons), train_cfg, cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
         save_model(model, fh)
     _write_manifest(args.output, args, [args.corpus, *lexicon_paths], started)
@@ -263,6 +264,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_punctuate(args: argparse.Namespace) -> int:
+    # a mark that breaks a line would break the one-line-per-line output
+    if len((args.mark + ".").splitlines()) > 1:
+        raise ConfigurationError(f"--mark {args.mark!r} holds a line break")
     model = load_model(read_text_utf8(args.model))
     lexicons, _ = _load_lexicons(args)
     _require_resources(model.config, lexicons)

@@ -34,7 +34,11 @@ helper, _posteriors, gives the marginals and the gradient's expectations.
 
 Training is full-batch gradient ascent on the L2-penalized log-likelihood
 with a backtracking (Armijo) line search: deterministic, monotone, and easy
-to verify against finite differences.
+to verify against finite differences. The trainer holds its weights as one
+flat vector, the state weights [n_attrs, L] row by row and then the
+transition weights [L, L] row by row, so the objective and the step loop
+are dot products and scaled sums over one array; _Encoded.split views it
+as the two matrices.
 """
 
 from __future__ import annotations
@@ -80,12 +84,12 @@ class TrainConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.l2_sigma <= 0:
-            raise ValueError("l2_sigma must be > 0")
+        if not (0 < self.l2_sigma < np.inf):
+            raise ValueError("l2_sigma must be a finite number > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not (0 < self.tolerance < np.inf):
+            raise ValueError("tolerance must be a finite number > 0")
 
 
 @dataclass
@@ -560,6 +564,8 @@ class _Encoded:
         label_id = {l: i for i, l in enumerate(labels)}
         L = len(labels)
         lengths = np.asarray(batch.lengths, dtype=np.int64)
+        if not len(lengths):
+            raise ValueError("dataset must be non-empty")
         if len(batch.labels) != len(lengths):
             raise ValueError(f"{len(lengths)} sequences vs {len(batch.labels)} label sequences")
         for length, labs in zip(lengths.tolist(), batch.labels):
@@ -581,63 +587,54 @@ class _Encoded:
         self.last = off[np.sort(lengths)[::-1] - 1] + np.arange(n)
         onehot = np.zeros((total, L))
         onehot[np.arange(total), gold] = 1.0
-        self.observed_state = self.X.counts(onehot)
         pair_ids = gold[self.prev] * L + gold[k[0] :]
-        self.observed_trans = np.bincount(pair_ids, minlength=L * L).reshape(L, L).astype(float)
-
-    def _gold_score(self, state_w: np.ndarray, trans_w: np.ndarray) -> float:
-        return float(
-            np.sum(self.observed_state * state_w) + np.sum(self.observed_trans * trans_w)
+        self.shape = (len(attr_index), L)
+        self.observed = np.append(
+            self.X.counts(onehot), np.bincount(pair_ids, minlength=L * L).astype(float)
         )
 
-    def _forward_pass(
-        self, state_w: np.ndarray, trans_w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(emissions, alpha, per-sequence log Z) at the given weights."""
-        emis = self.X.scores(state_w)
-        alpha = _scan(emis, trans_w, self.blocks[0])
+    def split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(state [n_attrs, L], trans [L, L]) as views of a flat vector."""
+        n_attrs, L = self.shape
+        return w[: n_attrs * L].reshape(n_attrs, L), w[n_attrs * L :].reshape(L, L)
+
+    def _forward_pass(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(emissions, alpha, per-sequence log Z) at the weights w."""
+        state, trans = self.split(w)
+        emis = self.X.scores(state)
+        alpha = _scan(emis, trans, self.blocks[0])
         return emis, alpha, np.logaddexp.reduce(alpha[self.last], axis=1)
 
-    def _value(
-        self, state_w: np.ndarray, trans_w: np.ndarray, log_z: np.ndarray, sigma_sq: float
-    ) -> float:
-        penalty = (np.sum(state_w**2) + np.sum(trans_w**2)) / (2.0 * sigma_sq)
-        return self._gold_score(state_w, trans_w) - float(np.sum(log_z)) - penalty
+    def _value(self, w: np.ndarray, log_z: np.ndarray, sigma_sq: float) -> float:
+        return float(self.observed @ w - np.sum(log_z) - (w @ w) / (2.0 * sigma_sq))
 
     def objective(
-        self, state_w: np.ndarray, trans_w: np.ndarray, sigma_sq: float
+        self, w: np.ndarray, sigma_sq: float
     ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The objective at a line-search probe, with the probe's forward
         pass, which objective_and_gradient reuses if the probe is accepted."""
-        forward = self._forward_pass(state_w, trans_w)
-        return self._value(state_w, trans_w, forward[2], sigma_sq), forward
+        forward = self._forward_pass(w)
+        return self._value(w, forward[2], sigma_sq), forward
 
     def objective_and_gradient(
         self,
-        state_w: np.ndarray,
-        trans_w: np.ndarray,
+        w: np.ndarray,
         sigma_sq: float,
         forward: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-    ) -> tuple[float, Gradient]:
+    ) -> tuple[float, np.ndarray]:
         if forward is None:
-            forward = self._forward_pass(state_w, trans_w)
+            forward = self._forward_pass(w)
         emis, alpha, log_z = forward
-        suffix = _scan(emis, trans_w.T, self.blocks[1])
-        unary, pair = _posteriors(
-            emis, alpha, suffix, trans_w, log_z[self.row_rank][:, None], self.prev
-        )
-        expected_state = self.X.counts(unary)
-        expected_trans = pair.sum(axis=0)
-        objective = self._value(state_w, trans_w, log_z, sigma_sq)
-        grad = Gradient(
-            self.observed_state - expected_state - state_w / sigma_sq,
-            self.observed_trans - expected_trans - trans_w / sigma_sq,
-        )
-        if not (
-            np.isfinite(objective)
-            and np.all(np.isfinite(grad.state))
-            and np.all(np.isfinite(grad.trans))
-        ):
+        trans = self.split(w)[1]
+        suffix = _scan(emis, trans.T, self.blocks[1])
+        unary, pair = _posteriors(emis, alpha, suffix, trans, log_z[self.row_rank][:, None], self.prev)
+        # observed - expected - w / sigma_sq, built in place: one more
+        # weight-sized array would raise training's peak memory
+        grad = np.append(self.X.counts(unary), pair.sum(axis=0))
+        np.subtract(self.observed, grad, out=grad)
+        grad -= w / sigma_sq
+        objective = self._value(w, log_z, sigma_sq)
+        if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
             raise TrainingError("objective or gradient is not finite")
         return objective, grad
 
@@ -648,14 +645,10 @@ def objective_and_gradient(
     """Penalized log-likelihood of the dataset under the model, with its
     gradient (observed minus expected feature counts minus the prior pull).
     """
-    batch = _as_columns(dataset)
-    if not len(batch.lengths):
-        raise ValueError("dataset must be non-empty")
-    enc = _Encoded(batch, model.attr_index, model.labels)
-    del batch  # slot columns made from attribute lists are spent
-    return enc.objective_and_gradient(
-        model.state_weights, model.trans_weights, l2_sigma**2
-    )
+    enc = _Encoded(dataset, model.attr_index, model.labels)
+    w = np.append(model.state_weights, model.trans_weights)
+    objective, grad = enc.objective_and_gradient(w, l2_sigma**2)
+    return objective, Gradient(*enc.split(grad))
 
 
 def train(
@@ -677,22 +670,18 @@ def train(
     """
     _check_labels(labels)
     batch = _as_columns(dataset)
-    if not len(batch.lengths):
-        raise ValueError("dataset must be non-empty")
     attr_index = _build_attr_index(batch.columns)
     enc = _Encoded(batch, attr_index, labels)
     del batch  # slot columns made from attribute lists are spent
     sigma_sq = config.l2_sigma**2
-    state = np.zeros((len(attr_index), len(labels)))
-    trans = np.zeros((len(labels), len(labels)))
-    objective, grad = enc.objective_and_gradient(state, trans, sigma_sq)
+    w = np.zeros(len(enc.observed))
+    objective, grad = enc.objective_and_gradient(w, sigma_sq)
     history = [objective]
-    prev_gnorm_sq = prev_step = None
-    prev_grad: Optional[Gradient] = None
+    prev_gnorm_sq = prev_step = prev_grad = None
     iterations = 0
     stopped_by = "max_iterations"
     for _ in range(config.max_iterations):
-        gnorm_sq = float(np.sum(grad.state**2) + np.sum(grad.trans**2))
+        gnorm_sq = float(grad @ grad)
         if gnorm_sq == 0.0:
             stopped_by = "converged"
             break
@@ -702,35 +691,28 @@ def train(
         if prev_grad is None:
             step = 1.0 / (1.0 + np.sqrt(gnorm_sq))
         else:
-            cross = float(
-                np.sum(prev_grad.state * grad.state)
-                + np.sum(prev_grad.trans * grad.trans)
-            )
-            denom = prev_gnorm_sq - cross
+            denom = prev_gnorm_sq - float(prev_grad @ grad)
             if denom > 0.0 and np.isfinite(denom):
                 step = prev_step * prev_gnorm_sq / denom
             else:
                 step = min(prev_step * 2.0, 1.0)
             step = float(min(max(step, 1e-12), 1e8))
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
-            cand_state = state + step * grad.state
-            cand_trans = trans + step * grad.trans
-            cand_obj, forward = enc.objective(cand_state, cand_trans, sigma_sq)
+            cand = w + step * grad
+            cand_obj, forward = enc.objective(cand, sigma_sq)
             if not np.isfinite(cand_obj):
                 raise TrainingError(f"objective diverged at step size {step}")
             if cand_obj >= objective + ARMIJO_C * step * gnorm_sq:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             stopped_by = "line_search_failed"
             break
-        state, trans = cand_state, cand_trans
+        w = cand
         iterations += 1
         relative = abs(cand_obj - objective) / max(abs(objective), 1.0)
         prev_gnorm_sq, prev_step, prev_grad = gnorm_sq, step, grad
-        objective, grad = enc.objective_and_gradient(state, trans, sigma_sq, forward)
+        objective, grad = enc.objective_and_gradient(w, sigma_sq, forward)
         history.append(objective)
         if relative < config.tolerance:
             stopped_by = "converged"
@@ -739,8 +721,7 @@ def train(
     return CrfModel(
         tuple(labels),
         attr_index,
-        state,
-        trans,
+        *enc.split(w),
         feature_config if feature_config is not None else FeatureConfig(),
         meta,
     )

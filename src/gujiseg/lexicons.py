@@ -105,9 +105,6 @@ class PmiTable:
     total_bigrams: int
     pmi: dict[tuple[str, str], float]
 
-    def value(self, a: str, b: str) -> float | None:
-        return self.pmi.get((a, b))
-
     @cached_property
     def _bins(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
         """The table as arrays, made once per table for _pmi_codes.

@@ -163,6 +163,17 @@ class TestTrainPunctuateEvaluate:
         text = out.read_text(encoding="utf-8")
         assert "/" in text and "，" not in text
 
+    @pytest.mark.parametrize("mark", ["\n", "\u2028"])
+    def test_punctuate_line_breaking_mark_refused(self, rule_docs, trained_model, tmp_path,
+                                                  capsys, mark):
+        raw = tmp_path / "one.txt"
+        raw.write_text(rule_docs[205].chars + "\n", encoding="utf-8")
+        out = tmp_path / "p.txt"
+        assert main(["punctuate", trained_model, str(raw), "-o", str(out),
+                     "--mark", mark]) == 2
+        assert "line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_punctuate_empty_input(self, trained_model, tmp_path, capsys):
         raw = tmp_path / "empty.txt"
         raw.write_text("", encoding="utf-8")
@@ -216,6 +227,20 @@ class TestTrainPunctuateEvaluate:
         rc = main(["train", str(corpus), "-o", str(tmp_path / "m.txt")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--tolerance"])
+    def test_train_non_finite_setting_refused_first(self, rule_docs, tmp_path, capsys,
+                                                    monkeypatch, flag):
+        corpus = write_labeled(tmp_path / "train.tsv", rule_docs[:40])
+        model = tmp_path / "m.txt"
+
+        def unread(text):
+            raise AssertionError("corpus read before the settings were checked")
+
+        monkeypatch.setattr("gujiseg.cli.read_labeled_corpus", unread)
+        assert main(["train", corpus, "-o", str(model), flag, "nan"]) == 2
+        assert "must be a finite number > 0" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_train_builds_pmi_sidecar(self, rule_docs, tmp_path):
         corpus = write_labeled(tmp_path / "train.tsv", rule_docs[:40])

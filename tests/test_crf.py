@@ -651,7 +651,8 @@ class TestEncoder:
             got_indptr = [0, *np.cumsum(firing.fired).tolist()]
             assert (firing.cols.tolist(), got_indptr) == (cols, indptr)
         for dataset in (batch, pairs):
-            assert np.array_equal(crf._Encoded(dataset, index, LABELS).observed_state, observed)
+            enc = crf._Encoded(dataset, index, LABELS)
+            assert np.array_equal(enc.split(enc.observed)[0], observed)
         # training and decoding score a row alike, names the model lacks included
         known = {name: i for i, name in enumerate(n for n in index if rng.random() < 0.7)}
         w = np.array([[rng.uniform(-3, 3) for _ in LABELS] for _ in known]).reshape(-1, len(LABELS))
@@ -814,13 +815,12 @@ class TestObjectiveAndGradient:
             attrs = random_attrs(rng, m)
             dataset.append((attrs, [rng.choice(LABELS) for _ in attrs]))
         enc = crf._Encoded(dataset, m.attr_index, m.labels)
-        point = (m.state_weights, m.trans_weights, 2.0)
+        point = (np.append(m.state_weights, m.trans_weights), 2.0)
         value, forward = enc.objective(*point)
         obj, grad = enc.objective_and_gradient(*point)
         obj_r, grad_r = enc.objective_and_gradient(*point, forward)
         assert value == obj == obj_r
-        assert np.array_equal(grad_r.state, grad.state)
-        assert np.array_equal(grad_r.trans, grad.trans)
+        assert np.array_equal(grad_r, grad)
 
     def test_memory_scales_with_total_positions(self):
         # a padded [n, t_max, 2] float batch of this dataset alone would
@@ -876,6 +876,18 @@ class TestTrain:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("field", ["l2_sigma", "tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_non_positive_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
+            TrainConfig(**{field: value})
+
+    def test_empty_dataset_rejected(self):
+        empty_columns = crf.ColumnDataset([], np.zeros(0, np.int64), [])
+        for dataset in ([], empty_columns):
+            with pytest.raises(ValueError, match="dataset must be non-empty"):
+                train(dataset)
 
     def test_single_iteration_contract(self):
         rng = random.Random(23)
