@@ -728,40 +728,44 @@ def train(
 
 
 def save_model(model: CrfModel, sink: TextIO) -> None:
-    """Write a model that load_model reads back, or raise ValueError for one
-    it would reject: a label or attribute name holding a separator, an
-    empty attribute name, a final objective that is not finite."""
+    """Write a model that load_model reads back bit for bit, or raise
+    ValueError, having written nothing, for one it would reject: a label or
+    attribute name holding a separator, an empty attribute name, a final
+    objective that is not finite.
+
+    The state weights go in one `weights` section: a line per attribute,
+    its L weights in label order as lowercase hex of little-endian IEEE-754
+    binary64, so each line is 16·L hex digits."""
     for label in model.labels:
         if "\t" in label or "\n" in label:
             raise ValueError(f"label {label!r} contains a separator")
+    m = model.meta
+    if m is not None and not np.isfinite(m.final_objective):
+        raise ValueError(f"final objective {m.final_objective!r} is not a finite number")
+    attrs = sorted(model.attr_index.items(), key=lambda kv: kv[1])
+    joined = "".join(model.attr_index)
+    if "\t" in joined or "\n" in joined or "" in model.attr_index:
+        for attr, attr_id in attrs:
+            if "\t" in attr or "\n" in attr:
+                raise ValueError(f"attribute {attr!r} contains a separator")
+            if not attr:
+                raise ValueError(f"attribute {attr_id} has an empty name")
     sink.write(MODEL_FORMAT_VERSION + "\n")
     sink.write("labels" + "".join("\t" + l for l in model.labels) + "\n")
     sink.write(f"config\t{model.config.spec()}\t{model.config.k}\n")
-    if model.meta is None:
+    if m is None:
         sink.write("meta\tnone\n")
     else:
-        m = model.meta
-        if not np.isfinite(m.final_objective):
-            raise ValueError(f"final objective {m.final_objective!r} is not a finite number")
         sink.write(
             f"meta\titerations={m.iterations}\tfinal_objective={m.final_objective:.17g}"
             f"\tstopped_by={m.stopped_by}\n"
         )
-    attrs = sorted(model.attr_index.items(), key=lambda kv: kv[1])
     sink.write(f"attrs\t{len(attrs)}\n")
-    for attr, attr_id in attrs:
-        if "\t" in attr or "\n" in attr:
-            raise ValueError(f"attribute {attr!r} contains a separator")
-        if not attr:
-            raise ValueError(f"attribute {attr_id} has an empty name")
-        sink.write(f"{attr_id}\t{attr}\n")
-    attr_ids, label_ids = np.nonzero(model.state_weights)
-    values = model.state_weights[attr_ids, label_ids]
-    sink.write(f"state\t{len(values)}\n")
-    sink.writelines(
-        f"{attr_id}\t{model.labels[label_id]}\t{value:.17g}\n"
-        for attr_id, label_id, value in zip(attr_ids.tolist(), label_ids.tolist(), values.tolist())
-    )
+    sink.writelines(f"{attr_id}\t{attr}\n" for attr, attr_id in attrs)
+    sink.write(f"weights\t{len(attrs)}\n")
+    if attrs:
+        row = 8 * len(model.labels)
+        sink.write(model.state_weights.astype("<f8").tobytes().hex("\n", row) + "\n")
     sink.write(f"trans\t{len(model.labels) ** 2}\n")
     for i, a in enumerate(model.labels):
         for j, b in enumerate(model.labels):
@@ -842,9 +846,12 @@ def load_model(source: str | TextIO) -> CrfModel:
     `labels` and the label names, `config` with the feature spec and k,
     `meta` with the training facts (or `none`), then three counted
     sections and `end`. `attrs n` is followed by n lines `id name`, the ids
-    0..n-1 in order; `state m` by m lines `attr_id label weight`, the
-    nonzero state weights; `trans L²` by one line `label label weight` per
-    label pair.
+    0..n-1 in order; `weights n` by n lines of 16·L lowercase hex digits,
+    attribute i's L state weights in label order as little-endian IEEE-754
+    binary64; `trans L²` by one line `label label weight` per label pair.
+    Files written before the `weights` section hold `state m` instead, m
+    lines `attr_id label weight` with the nonzero state weights, and still
+    load (a -0.0 among them reads back as 0.0, as that writer left it out).
 
     The header lines are read one at a time. The sections are cut into
     pieces of about LOAD_CHUNK_CHARS characters, ending on a line break;
@@ -856,11 +863,12 @@ def load_model(source: str | TextIO) -> CrfModel:
     Raises ModelFormatError, with the line number, for another version, a
     truncated file, repeated label names, a section line with the wrong
     number of fields, a number that is not plain (PLAIN_INT, PLAIN_FLOAT),
-    attribute ids out of order, a repeated or empty attribute name, a state
-    attribute id out of range, a label not in the label list, a repeated
-    (attribute, label) or (label, label) entry, a weight that is not
-    finite, a trans section that does not hold every label pair, and any
-    text after the `end` line.
+    attribute ids out of order, a repeated or empty attribute name, a
+    `weights` count other than the attribute count, a weight row that is not
+    16·L lowercase hex digits, a state attribute id out of range, a label not
+    in the label list, a repeated (attribute, label) or (label, label) entry,
+    a weight that is not finite, a trans section that does not hold every
+    label pair, and any text after the `end` line.
     """
     text = source if isinstance(source, str) else source.read()
     pos = lineno = 0
@@ -971,7 +979,7 @@ def load_model(source: str | TextIO) -> CrfModel:
             raise ValueError("attribute id out of range")
         return rows
 
-    def weights(
+    def scatter(
         matrix: np.ndarray, row_ids: Callable[[list[str]], np.ndarray]
     ) -> Callable[[list[list[str]]], None]:
         """An `add` for section() that scatters weights into `matrix`, each
@@ -993,11 +1001,36 @@ def load_model(source: str | TextIO) -> CrfModel:
         return add
 
     state = np.zeros((len(attr_index), n_labels))
-    section(section_count("state"), "state weight", 3, weights(state, attr_ids))
+    filled = 0
+
+    def add_rows(columns: list[list[str]]) -> None:
+        """Decode the next rows of the `weights` section into `state`."""
+        nonlocal filled
+        (rows,) = columns
+        piece = "\n".join(rows)
+        data = bytearray.fromhex(piece)
+        # the re-encoding is the one spelling: lowercase, no spaces, and
+        # with the length, 16·L digits on every line
+        if len(data) != 8 * n_labels * len(rows) or data.hex("\n", 8 * n_labels) != piece:
+            raise ValueError(f"expected lines of {16 * n_labels} lowercase hex digits")
+        w = np.frombuffer(data, dtype="<f8").reshape(len(rows), n_labels)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weight is not a finite number")
+        state[filled : filled + len(rows)] = w
+        filled += len(rows)
+
+    if text.startswith("state\t", pos):
+        section(section_count("state"), "state weight", 3, scatter(state, attr_ids))
+    else:
+        if (count := section_count("weights")) != len(attr_index):
+            raise ModelFormatError(
+                f"line {lineno}: weights section must hold all {len(attr_index)} attribute rows"
+            )
+        section(count, "weight row", 1, add_rows)
     trans = np.zeros((n_labels, n_labels))
     if (count := section_count("trans")) != trans.size:
         raise ModelFormatError(f"line {lineno}: trans section must hold all {trans.size} label pairs")
-    section(count, "transition weight", 3, weights(trans, label_ids))
+    section(count, "transition weight", 3, scatter(trans, label_ids))
     if take("end marker") != "end":
         raise ModelFormatError(f"line {lineno}: expected end marker")
     if pos < len(text):

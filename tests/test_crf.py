@@ -54,6 +54,7 @@ from oracles import (
     reference_backward,
     reference_forward,
     reference_viterbi_path,
+    save_model_sparse,
 )
 
 POOL = [f"w[0]={c}" for c in "天地玄黃宇宙洪荒"]
@@ -1052,29 +1053,30 @@ class TestModelIO:
         assert np.array_equal(back.trans_weights, m.trans_weights)
 
     # each edit breaks a saved two-attribute model at the line `bad`, which
-    # the error must name
+    # the error must name; edits of state lines break the sparse file that
+    # writers before the dense `weights` section left
     @pytest.mark.parametrize(
-        "old, new, bad",
+        "write, old, new, bad",
         [
-            ("attrs\t2\n0\ta\n1\tb\n", "attrs\t3\n0\ta\n1\tb\n2\ta\n", "2\ta"),
-            ("\n0\ta\n1\tb\n", "\n0\n1\t1\tb\n", "0"),
-            ("\n1\tb\n", "\n1\t\n", "1\t"),
-            ("\n1\tO\t0.25\n", "\n-1\tO\t0.25\n", "-1\tO\t0.25"),
-            ("\n1\tO\t0.25\n", "\n1\tO\t0.25\t7\n", "1\tO\t0.25\t7"),
-            ("state\t3\n0\tO\t0.5\n", "state\t4\n0\tO\t0.5\n0\tO\t0.125\n", "0\tO\t0.125"),
-            ("trans\t4\nO\tO\t0\nO\tM\t0\nM\tO\t0\nM\tM\t0\n", "trans\t1\nO\tO\t0\n", "trans\t1"),
-            ("\nM\tO\t0\n", "\nO\tO\t0.5\n", "O\tO\t0.5"),
-            ("\n1\tO\t0.25\n", "\n1\tO\tnan\n", "1\tO\tnan"),
-            ("\n1\tO\t0.25\n", "\n1\tO\t-inf\n", "1\tO\t-inf"),
-            ("\nend\n", "\nend\nattrs\t1\n0\tb\n", "attrs\t1"),
-            ("\n0\tO\t0.5\n", "\n0\tO\t0_5\n", "0\tO\t0_5"),
-            ("\n0\tO\t0.5\n", "\n0\tO\t\uff10.\uff15\n", "0\tO\t\uff10.\uff15"),
-            ("\n0\tO\t0.5\n", "\n0\tO\t 0.5 \n", "0\tO\t 0.5 "),
-            ("\n0\tO\t0.5\n", "\n0\tO\t+0.5\n", "0\tO\t+0.5"),
-            ("\n0\ta\n", "\n0_0\ta\n", "0_0\ta"),
-            ("\n0\tO\t0.5\n", "\n0_0\tO\t0.5\n", "0_0\tO\t0.5"),
-            ("\n1\tO\t0.25\n", "\n01\tO\t0.25\n", "01\tO\t0.25"),
-            ("attrs\t2\n", "attrs\t0_2\n", "attrs\t0_2"),
+            (save_model, "attrs\t2\n0\ta\n1\tb\n", "attrs\t3\n0\ta\n1\tb\n2\ta\n", "2\ta"),
+            (save_model, "\n0\ta\n1\tb\n", "\n0\n1\t1\tb\n", "0"),
+            (save_model, "\n1\tb\n", "\n1\t\n", "1\t"),
+            (save_model_sparse, "\n1\tO\t0.25\n", "\n-1\tO\t0.25\n", "-1\tO\t0.25"),
+            (save_model_sparse, "\n1\tO\t0.25\n", "\n1\tO\t0.25\t7\n", "1\tO\t0.25\t7"),
+            (save_model_sparse, "state\t3\n0\tO\t0.5\n", "state\t4\n0\tO\t0.5\n0\tO\t0.125\n", "0\tO\t0.125"),
+            (save_model, "trans\t4\nO\tO\t0\nO\tM\t0\nM\tO\t0\nM\tM\t0\n", "trans\t1\nO\tO\t0\n", "trans\t1"),
+            (save_model, "\nM\tO\t0\n", "\nO\tO\t0.5\n", "O\tO\t0.5"),
+            (save_model_sparse, "\n1\tO\t0.25\n", "\n1\tO\tnan\n", "1\tO\tnan"),
+            (save_model_sparse, "\n1\tO\t0.25\n", "\n1\tO\t-inf\n", "1\tO\t-inf"),
+            (save_model, "\nend\n", "\nend\nattrs\t1\n0\tb\n", "attrs\t1"),
+            (save_model_sparse, "\n0\tO\t0.5\n", "\n0\tO\t0_5\n", "0\tO\t0_5"),
+            (save_model_sparse, "\n0\tO\t0.5\n", "\n0\tO\t\uff10.\uff15\n", "0\tO\t\uff10.\uff15"),
+            (save_model_sparse, "\n0\tO\t0.5\n", "\n0\tO\t 0.5 \n", "0\tO\t 0.5 "),
+            (save_model_sparse, "\n0\tO\t0.5\n", "\n0\tO\t+0.5\n", "0\tO\t+0.5"),
+            (save_model, "\n0\ta\n", "\n0_0\ta\n", "0_0\ta"),
+            (save_model_sparse, "\n0\tO\t0.5\n", "\n0_0\tO\t0.5\n", "0_0\tO\t0.5"),
+            (save_model_sparse, "\n1\tO\t0.25\n", "\n01\tO\t0.25\n", "01\tO\t0.25"),
+            (save_model, "attrs\t2\n", "attrs\t0_2\n", "attrs\t0_2"),
         ],
         ids=["repeated-name", "fields-across-lines", "empty-name",
              "negative-id", "fourth-field", "repeated-entry", "one-trans-pair",
@@ -1083,9 +1085,9 @@ class TestModelIO:
              "underscore-attr-id", "underscore-state-id", "leading-zero-state-id",
              "underscore-count"],
     )
-    def test_malformed_section_reports_line(self, old, new, bad):
+    def test_malformed_section_reports_line(self, write, old, new, bad):
         sink = io.StringIO()
-        save_model(make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]]), sink)
+        write(make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]]), sink)
         assert old in sink.getvalue()
         text = sink.getvalue().replace(old, new, 1)
         lineno = text.split("\n").index(bad) + 1
@@ -1115,31 +1117,118 @@ class TestModelIO:
         trans = np.array(data.draw(st.lists(weight, min_size=L * L, max_size=L * L))).reshape(L, L)
         model = CrfModel(tuple(labels), {n: i for i, n in enumerate(names)}, state, trans,
                          FeatureConfig())
-        sink = io.StringIO()
+        sink, sparse_sink = io.StringIO(), io.StringIO()
         save_model(model, sink)
-        text = sink.getvalue()
+        save_model_sparse(model, sparse_sink)
+        text, sparse_text = sink.getvalue(), sparse_sink.getvalue()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crf, "LOAD_CHUNK_CHARS", chunk)
             back = load_model(text)
             assert list(back.attr_index.items()) == list(model.attr_index.items())
-            # the file keeps the nonzero state weights only, so -0.0 reads back as 0.0
+            assert np.array_equal(back.state_weights.view(np.int64), state.view(np.int64))
+            assert np.array_equal(back.trans_weights.view(np.int64), trans.view(np.int64))
+            # the sparse file keeps the nonzero state weights only, so -0.0
+            # reads back as 0.0
+            back = load_model(sparse_text)
+            assert list(back.attr_index.items()) == list(model.attr_index.items())
             assert np.array_equal(back.state_weights.view(np.int64), (state + 0.0).view(np.int64))
             assert np.array_equal(back.trans_weights.view(np.int64), trans.view(np.int64))
 
-            lines = text.split("\n")
-            header = next(i for i, line in enumerate(lines) if line.startswith("state\t"))
-            count = int(lines[header].split("\t")[1])
-            if count:
-                j = data.draw(st.integers(0, count - 1))
-                attr_id, label, value = lines[header + 1 + j].split("\t")
+            def corrupt(text, section, edits):
+                """Replace a drawn line of `section` by one of edits(line)."""
+                lines = text.split("\n")
+                header = next(i for i, line in enumerate(lines) if line.startswith(section))
+                count = int(lines[header].split("\t")[1])
+                if count:
+                    j = data.draw(st.integers(0, count - 1))
+                    lines[header + 1 + j] = data.draw(
+                        st.sampled_from(edits(lines[header + 1 + j], lines[header + 1], j)))
+                    with pytest.raises(ModelFormatError, match=f"^line {header + 2 + j}:"):
+                        load_model("\n".join(lines))
+
+            def sparse_edits(line, first, j):
+                attr_id, label, value = line.split("\t")
                 edits = [f"{attr_id}\t{label}\tnan", f"{len(names)}\t{label}\t{value}",
                          f"{attr_id}\t{label}\t{value}\t0", f"{attr_id}\t{label}"]
                 if j:
-                    first_id, first_label, _ = lines[header + 1].split("\t")
+                    first_id, first_label, _ = first.split("\t")
                     edits.append(f"{first_id}\t{first_label}\t{value}")
-                lines[header + 1 + j] = data.draw(st.sampled_from(edits))
-                with pytest.raises(ModelFormatError, match=f"^line {header + 2 + j}:"):
-                    load_model("\n".join(lines))
+                return edits
+
+            def dense_edits(row, first, j):
+                return [row[:-1] + "F", row[:-1], row + "0", row[:-2], row[:2] + " " + row[2:],
+                        row[:-1] + "g", "000000000000f87f" + row[16:], row + "\t0"]
+
+            corrupt(sparse_text, "state\t", sparse_edits)
+            corrupt(text, "weights\t", dense_edits)
+
+    def test_dense_round_trip_at_every_chunk(self):
+        state = np.array([[-0.0, 5e-324], [1e308, -1e308], [0.0, -5e-324], [0.1, -2.5]])
+        trans = np.array([[-0.0, 1e308], [5e-324, -1.5]])
+        model = make_model(("a", "b\u2028", "\U00020000", "d"), state, trans)
+        sink = io.StringIO()
+        save_model(model, sink)
+        for chunk in range(49):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(crf, "LOAD_CHUNK_CHARS", chunk)
+                back = load_model(sink.getvalue())
+            assert back.attr_index == model.attr_index
+            assert np.array_equal(back.state_weights.view(np.int64), state.view(np.int64))
+            assert np.array_equal(back.trans_weights.view(np.int64), trans.view(np.int64))
+
+    # each edit breaks the `weights` section of a saved two-attribute model
+    # at the line `bad` (the edited line if None), which the error must name
+    # with the reason `why`
+    ROW_A = "000000000000e03f000000000000e0bf"  # 0.5, -0.5
+    ROW_B = "000000000000d03f0000000000000000"  # 0.25, 0.0
+
+    @pytest.mark.parametrize(
+        "old, new, bad, why",
+        [
+            (ROW_A, "000000000000E03F000000000000e0bf", None, "hex digits"),
+            (ROW_A, "000000000000e03f 000000000000e0bf", None, "hex digits"),
+            (ROW_A, ROW_A[:-1], None, "non-hexadecimal"),
+            (ROW_A, ROW_A + "0", None, "non-hexadecimal"),
+            (ROW_A, ROW_A[:-2], None, "hex digits"),
+            (ROW_B, ROW_B + "00", None, "hex digits"),
+            (ROW_A, ROW_A[:-1] + "x", None, "non-hexadecimal"),
+            (ROW_A, ROW_A + "\t0", None, "tab-separated"),
+            (ROW_B + "\n", "", "trans\t4", "tab-separated"),
+            ("weights\t2", "weights\t3", None, "must hold all 2 attribute rows"),
+            ("weights\t2", "weights\t1", None, "must hold all 2 attribute rows"),
+            ("weights\t2", "weights\t02", None, "bad weights count"),
+            (ROW_B, "000000000000f87f0000000000000000", None, "not a finite number"),
+            (ROW_B, "000000000000f07f0000000000000000", None, "not a finite number"),
+            (ROW_B, "000000000000d03f000000000000f0ff", None, "not a finite number"),
+        ],
+        ids=["uppercase-digit", "space", "digit-short", "digit-long", "byte-short", "byte-long",
+             "non-hex", "second-field", "missing-row", "count-above-attrs", "count-below-attrs",
+             "leading-zero-count", "nan-bits", "inf-bits", "minus-inf-bits"],
+    )
+    def test_malformed_weights_reports_line(self, old, new, bad, why):
+        sink = io.StringIO()
+        save_model(make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]]), sink)
+        assert old in sink.getvalue()
+        text = sink.getvalue().replace(old, new, 1)
+        lineno = text.split("\n").index(new if bad is None else bad) + 1
+        with pytest.raises(ModelFormatError, match=f"^line {lineno}: .*{why}"):
+            load_model(text)
+
+    def test_sparse_and_dense_files_load_alike(self):
+        rng = random.Random(35)
+        data = rule_dataset(rng, 20)
+        model = train(data, TrainConfig(max_iterations=10))
+        dense, sparse = io.StringIO(), io.StringIO()
+        save_model(model, dense)
+        save_model_sparse(model, sparse)
+        assert "\nweights\t" in dense.getvalue() and "\nstate\t" in sparse.getvalue()
+        a, b = load_model(dense.getvalue()), load_model(sparse.getvalue())
+        assert a.attr_index == b.attr_index
+        assert a.meta == b.meta and a.config == b.config
+        assert np.array_equal(a.state_weights.view(np.int64), b.state_weights.view(np.int64))
+        assert np.array_equal(a.trans_weights.view(np.int64), b.trans_weights.view(np.int64))
+        for attrs, _ in data:
+            assert viterbi(a, attrs) == viterbi(b, attrs)
 
     # the whole-column check accepts exactly the fields the forms match
     @settings(max_examples=300, deadline=None)
@@ -1211,6 +1300,27 @@ class TestModelValidation:
         )
         with pytest.raises(ValueError, match="separator"):
             save_model(model, io.StringIO())
+
+    # each refusal comes before the first write, so a refused model leaves
+    # no partial file behind
+    @pytest.mark.parametrize(
+        "labels, attrs, objective",
+        [
+            (("X\tY", "M"), ("a", "b"), 1.0),
+            (LABELS, ("a", "b"), math.inf),
+            (LABELS, ("a", "b\tc"), 1.0),
+            (LABELS, ("a", "b\nc"), 1.0),
+            (LABELS, ("a", ""), 1.0),
+        ],
+        ids=["label-separator", "final-objective", "attr-tab", "attr-newline", "empty-attr"],
+    )
+    def test_refused_model_writes_nothing(self, labels, attrs, objective):
+        model = CrfModel(labels, {a: i for i, a in enumerate(attrs)}, np.zeros((len(attrs), 2)),
+                         np.zeros((2, 2)), FeatureConfig(), crf.TrainMeta(1, objective, "converged"))
+        sink = io.StringIO()
+        with pytest.raises(ValueError):
+            save_model(model, sink)
+        assert sink.getvalue() == ""
 
     def test_repeated_labels_rejected(self):
         with pytest.raises(ValueError, match="repeated label"):
