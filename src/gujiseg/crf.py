@@ -30,7 +30,9 @@ train(pairs), objective_and_gradient, viterbi, marginals, log_partition and
 score_sequence take the same path. One kernel, _gather_add, turns ids into
 emissions a column at a time: the held ids in training, columns streamed
 one by one in decoding (column_scores); viterbi_emissions decodes them. One
-helper, _posteriors, gives the marginals and the gradient's expectations.
+helper, _posteriors, gives the unary marginals [rows, L] and the pair
+marginals [L, L, rows] with the rows innermost: the gradient sums each
+label pair's contiguous run, and marginals() hands them out as [T-1, L, L].
 
 Training is full-batch gradient ascent on the L2-penalized log-likelihood
 with a backtracking (Armijo) line search: deterministic, monotone, and easy
@@ -38,7 +40,8 @@ to verify against finite differences. The trainer holds its weights as one
 flat vector, the state weights [n_attrs, L] row by row and then the
 transition weights [L, L] row by row, so the objective and the step loop
 are dot products and scaled sums over one array; _Encoded.split views it
-as the two matrices.
+as the two matrices. The dot products run in numpy's own loop (_dot), so
+training makes no BLAS call.
 """
 
 from __future__ import annotations
@@ -250,6 +253,17 @@ def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fold(terms: np.ndarray, add: Callable, out: np.ndarray) -> np.ndarray:
+    """out = add over the first axis of terms, in order; out may be terms[0]."""
+    if len(terms) == 1:
+        np.copyto(out, terms[0])
+        return out
+    add(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        add(out, term, out=out)
+    return out
+
+
 def _scan(
     emis: np.ndarray, trans: np.ndarray, blocks: _Blocks, add: Callable = _logaddexp
 ) -> np.ndarray:
@@ -265,9 +279,14 @@ def _scan(
     np.maximum the best suffix scores of Viterbi.
 
     A piece's recursion is a product of L x L transfer matrices, so all
-    pieces run at once: one vectorised step per position of a piece builds
-    every piece's prefix products p[i, j], from entry label i to label j,
-    with the lanes on the innermost axis. One short pass along the blocks
+    pieces run at once. p starts as every piece row's step matrix
+    p[m, j] = trans[m, j] + emis[row, j], with the piece rows on the
+    innermost axis; at a piece's first row that is already the prefix
+    product from entry label i = m to label j. One vectorised step per
+    position of a piece then turns each row's step matrix into its prefix
+    product: one np.add builds every term p[i, m] one step before + p[m, j]
+    as [i, m, j, lanes], and a fold over m in the semiring writes the
+    result over the step matrix it read. One short pass along the blocks
     carries each sequence's scores from piece to piece, and one broadcast
     fold applies the carries to every prefix. For a longest sequence of T
     positions that is O(SCAN_BLOCK + T / SCAN_BLOCK) numpy calls. The sums
@@ -279,33 +298,26 @@ def _scan(
     x[blocks.first] = emis[blocks.first]
     if not len(blocks.rows):
         return x
-    e = np.take(emis.T, blocks.rows, axis=1)
     p = np.empty((n_labels, n_labels, len(blocks.rows)))
+    np.add(trans[:, :, None], np.take(emis.T, blocks.rows, axis=1), out=p)
     lanes = blocks.steps[0][1]
-    np.add(trans[:, :, None], e[:, :lanes], out=p[:, :, :lanes])
-    buf = np.empty((n_labels, n_labels, lanes))
+    buf = np.empty((n_labels, n_labels, n_labels, lanes))
     for (before, _), (start, n) in zip(blocks.steps, blocks.steps[1:]):
-        # p[i, j] = e[j] + add over m of (p[i, m] one step before + trans[m, j])
-        out, part = p[:, :, start : start + n], buf[:, :, :n]
-        np.add(p[:, :1, before : before + n], trans[0][:, None], out=out)
-        for m in range(1, n_labels):
-            np.add(p[:, m : m + 1, before : before + n], trans[m][:, None], out=part)
-            add(out, part, out=out)
-        np.add(out, e[:, start : start + n], out=out)
-    del e, buf
+        # p[i, j] = add over m of (p[i, m] one step before + the step matrix p[m, j])
+        out, terms = p[:, :, start : start + n], buf[..., :n]
+        np.add(p[:, :, None, before : before + n], out, out=terms)
+        _fold(terms.swapaxes(0, 1), add, out)
+    del buf
     carry = np.empty((n_labels, lanes))
     carry[:, : blocks.entry] = emis[blocks.first[: blocks.entry]].T
-    buf = np.empty((n_labels, blocks.entry))
+    buf = np.empty((n_labels, n_labels, blocks.entry))
     for lane, earlier, last, n in blocks.chain:
         # carry[j] = add over i of (carry[i] one block before + p[i, j] at its end)
-        out, part = carry[:, lane : lane + n], buf[:, :n]
-        np.add(p[0, :, last : last + n], carry[:1, earlier : earlier + n], out=out)
-        for i in range(1, n_labels):
-            np.add(p[i, :, last : last + n], carry[i : i + 1, earlier : earlier + n], out=part)
-            add(out, part, out=out)
+        terms = buf[..., :n]
+        np.add(carry[:, None, earlier : earlier + n], p[:, :, last : last + n], out=terms)
+        _fold(terms, add, carry[:, lane : lane + n])
     p += np.take(carry, blocks.lane, axis=1)[:, None, :]
-    for i in range(1, n_labels):
-        add(p[0], p[i], out=p[0])
+    _fold(p, add, p[0])
     for j in range(n_labels):
         # a label at a time: a row at a time copies far slower
         x[:, j][blocks.rows] = p[0, j]
@@ -404,6 +416,12 @@ class _Firing:
         )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two flat vectors in numpy's own loop: `@` hands it to BLAS,
+    which runs it on every core when no thread limit is set."""
+    return float(np.einsum("i,i", a, b))
+
+
 def _gather_add(w: np.ndarray, id_columns: Iterable[np.ndarray], total: int) -> np.ndarray:
     """Emissions [total, L]: each column of ids in turn adds to every row
     the row of w [n_attrs, L] its id names; id n_attrs adds a zero row,
@@ -468,20 +486,26 @@ def marginals(
     alpha = _scan(emis, trans, forward)
     suffix = _scan(emis, trans.T, backward)
     log_z = np.full((len(attrs), 1), np.logaddexp.reduce(alpha[-1]))
-    return _posteriors(emis, alpha, suffix, trans, log_z, np.arange(len(attrs) - 1))
+    unary, pair = _posteriors(emis, alpha, suffix, trans, log_z, np.arange(len(attrs) - 1))
+    return unary, pair.transpose(2, 0, 1)
 
 
 def _posteriors(
     emis: np.ndarray, alpha: np.ndarray, suffix: np.ndarray, trans: np.ndarray,
     row_log_z: np.ndarray, prev: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(unary [rows, L], pair [len(prev), L, L]) posterior marginals of
+    """(unary [rows, L], pair [L, L, len(prev)]) posterior marginals of
     packed rows from the forward scores and the suffix scores emis + beta
     (_scan), row_log_z [rows, 1] holding each row's sequence log Z; the
-    last len(prev) rows follow rows `prev` of their sequences."""
+    last len(prev) rows follow rows `prev` of their sequences. pair[i, j]
+    holds the rows innermost, so summing it over rows reads each label
+    pair's run of values in order."""
     nxt = slice(len(emis) - len(prev), None)
     unary = np.exp(alpha - emis + suffix - row_log_z)
-    pair = np.exp(alpha[prev][:, :, None] + trans + (suffix[nxt] - row_log_z[nxt])[:, None, :])
+    pair = np.empty(trans.shape + prev.shape)
+    np.add(np.take(alpha, prev, axis=0).T[:, None, :], trans[:, :, None], out=pair)
+    pair += (suffix[nxt] - row_log_z[nxt]).T
+    np.exp(pair, out=pair)
     return unary, pair
 
 
@@ -506,10 +530,10 @@ def viterbi_emissions(
 
     Best suffix scores come from the shared recursion (_scan). A first row
     takes their first argmax; every later row maps each label i before it to
-    the first argmax over j of trans[i, j] + suffix[j], one np.argmax for all
-    rows. The maps compose on _scan's forward layout: one step per block
-    position for every piece's prefix maps, one pass along the blocks, one
-    gather to fill the rows.
+    the first argmax over j of trans[i, j] + suffix[j], one fold over the
+    labels for all rows. The maps compose on _scan's forward layout: one
+    step per block position for every piece's prefix maps, one pass along
+    the blocks, one gather to fill the rows.
     """
     if np.any(lengths == 0):
         raise ValueError("empty sequence")
@@ -524,9 +548,17 @@ def viterbi_emissions(
     n = len(lengths)
     path = np.empty(len(suffix), dtype=np.int64)
     path[:n] = np.argmax(suffix[:n], axis=1)
-    # after[i, r]: piece row r's label when label i comes before it; the
-    # steps compose these maps, so that i comes before r's piece
-    after = np.argmax(trans[:, None, :] + suffix[forward.rows], axis=2)
+    # after[i, r]: piece row r's label when label i comes before it, the
+    # first j with the most trans[i, j] + suffix[r, j], found by a fold over
+    # j in which a later label wins only when strictly greater; the steps
+    # compose these maps, so that i comes before r's piece
+    rows = np.take(suffix.T, forward.rows, axis=1)
+    best = trans[:, :1] + rows[0]
+    after = np.zeros(best.shape, dtype=np.int64)
+    for j in range(1, len(trans)):
+        score = trans[:, j : j + 1] + rows[j]
+        np.copyto(after, j, where=score > best)
+        np.maximum(best, score, out=best)
     for (before, _), (start, m) in zip(forward.steps, forward.steps[1:]):
         after[:, start : start + m] = np.take_along_axis(
             after[:, start : start + m], after[:, before : before + m], axis=0
@@ -606,7 +638,7 @@ class _Encoded:
         return emis, alpha, np.logaddexp.reduce(alpha[self.last], axis=1)
 
     def _value(self, w: np.ndarray, log_z: np.ndarray, sigma_sq: float) -> float:
-        return float(self.observed @ w - np.sum(log_z) - (w @ w) / (2.0 * sigma_sq))
+        return _dot(self.observed, w) - float(np.sum(log_z)) - _dot(w, w) / (2.0 * sigma_sq)
 
     def objective(
         self, w: np.ndarray, sigma_sq: float
@@ -628,9 +660,12 @@ class _Encoded:
         trans = self.split(w)[1]
         suffix = _scan(emis, trans.T, self.blocks[1])
         unary, pair = _posteriors(emis, alpha, suffix, trans, log_z[self.row_rank][:, None], self.prev)
+        trans_counts = pair.sum(axis=2)
+        # training's memory peaks in the state counts: hold no more there
+        del suffix, pair
         # observed - expected - w / sigma_sq, built in place: one more
         # weight-sized array would raise training's peak memory
-        grad = np.append(self.X.counts(unary), pair.sum(axis=0))
+        grad = np.append(self.X.counts(unary), trans_counts)
         np.subtract(self.observed, grad, out=grad)
         grad -= w / sigma_sq
         objective = self._value(w, log_z, sigma_sq)
@@ -681,7 +716,7 @@ def train(
     iterations = 0
     stopped_by = "max_iterations"
     for _ in range(config.max_iterations):
-        gnorm_sq = float(grad @ grad)
+        gnorm_sq = _dot(grad, grad)
         if gnorm_sq == 0.0:
             stopped_by = "converged"
             break
@@ -691,7 +726,7 @@ def train(
         if prev_grad is None:
             step = 1.0 / (1.0 + np.sqrt(gnorm_sq))
         else:
-            denom = prev_gnorm_sq - float(prev_grad @ grad)
+            denom = prev_gnorm_sq - _dot(prev_grad, grad)
             if denom > 0.0 and np.isfinite(denom):
                 step = prev_step * prev_gnorm_sq / denom
             else:

@@ -675,8 +675,11 @@ class TestEncoder:
         # with 377,768 distinct attributes: their strings, the index, the
         # firing operator and the weight arrays take most of the peak.
         # Training on the attribute lists of every position, as
-        # featurize_chars renders them, peaks at 148.5 MB; on the batch's
-        # columns at 138.0 MB, the same in every run (numpy 2.4, Python 3.11).
+        # featurize_chars renders them, peaks at 147.4 MB; on the batch's
+        # columns at 140.1 MB, the same in every run (numpy 2.4, Python
+        # 3.11). The peak falls in the state counts of the second
+        # objective_and_gradient; holding its suffix scores and pair
+        # marginals there too would make it 148.4 and 141.1 MB.
         rng = random.Random(36)
         alphabet = [chr(0x4E00 + i) for i in range(300)]
         rhymes = RhymeDictionary(
@@ -769,6 +772,47 @@ class TestObjectiveAndGradient:
                         fd = fd_gradient(objective, perturb)
                         rel = abs(got[i, j] - fd) / max(abs(fd), 1e-6)
                         assert rel < 1e-4
+
+    @pytest.mark.parametrize("labels", [("O",), ("O", "M", "X")])
+    def test_gradient_matches_finite_differences_other_label_counts(self, labels):
+        # one sequence runs past two scan blocks; the transition part is the
+        # observed label pairs less the summed pair marginals and the pull
+        rng = random.Random(37)
+        names = ("a0", "a1", "a2")
+        state = np.array([[rng.uniform(-1, 1) for _ in labels] for _ in names])
+        trans = np.array([[rng.uniform(-1, 1) for _ in labels] for _ in labels])
+        m = CrfModel(labels, {a: i for i, a in enumerate(names)}, state, trans, FeatureConfig())
+        dataset = []
+        for length in (2 * crf.SCAN_BLOCK + 7, 4, 1, 5):
+            attrs = random_attrs(rng, m, tmin=length, tmax=length)
+            dataset.append((attrs, [rng.choice(labels) for _ in attrs]))
+        sigma = 1.25
+
+        _, grad = objective_and_gradient(m, dataset, sigma)
+
+        observed = np.zeros_like(trans)
+        expected = np.zeros_like(trans)
+        for attrs, labs in dataset:
+            ids = [labels.index(l) for l in labs]
+            np.add.at(observed, (ids[:-1], ids[1:]), 1.0)
+            _, pair = marginals(m, attrs)
+            if 1 < len(attrs) <= 6:
+                np.testing.assert_allclose(pair, brute_marginals(m, attrs)[1], rtol=0, atol=1e-9)
+            expected += pair.sum(axis=0)
+        np.testing.assert_allclose(
+            grad.trans, observed - expected - trans / sigma**2, rtol=0, atol=1e-9
+        )
+
+        def objective():
+            return objective_and_gradient(m, dataset, sigma)[0]
+
+        for arr, got in ((m.state_weights, grad.state), (m.trans_weights, grad.trans)):
+            for i, j in np.ndindex(arr.shape):
+                def perturb(h, arr=arr, i=i, j=j):
+                    arr[i, j] += h
+
+                fd = fd_gradient(objective, perturb)
+                assert abs(got[i, j] - fd) <= 1e-6 * max(abs(fd), 1.0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
