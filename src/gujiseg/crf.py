@@ -828,52 +828,6 @@ def _plain(form: re.Pattern, field: str) -> str:
     return field
 
 
-# The bytes of plain numbers fall in these classes (0: any other byte); a
-# field is checked as the pairs of adjacent classes it makes with a line
-# break on either side.
-_NL, _MINUS, _PLUS, _ZERO, _NONZERO, _DOT, _E = range(1, 8)
-_DIGIT = [_ZERO, _NONZERO]
-_BYTE_CLASS = bytearray(256)
-for _class, _chars in enumerate([b"\n", b"-", b"+", b"0", b"123456789", b".", b"e"], 1):
-    for _byte in _chars:
-        _BYTE_CLASS[_byte] = _class
-
-
-def _class_pairs(*rules: tuple[list[int], list[int]]) -> np.ndarray:
-    """The allowed (before, after) class pairs, flat: entry before * 8 + after."""
-    allowed = np.zeros((8, 8), dtype=bool)
-    for before, after in rules:
-        allowed[np.ix_(before, after)] = True
-    return allowed.ravel()
-
-
-_INT_PAIRS = _class_pairs(([_NL], _DIGIT), (_DIGIT, _DIGIT + [_NL]))
-_FLOAT_PAIRS = _class_pairs(
-    ([_NL], _DIGIT + [_MINUS]),
-    ([_MINUS, _PLUS, _DOT], _DIGIT),
-    (_DIGIT, _DIGIT + [_NL, _DOT, _E]),
-    ([_E], [_PLUS, _MINUS]),
-)
-
-
-def _plain_column(fields: list[str], pairs: np.ndarray) -> list[str]:
-    """The fields, if each is a plain number: PLAIN_INT (pairs _INT_PAIRS)
-    or, once float() reads it, PLAIN_FLOAT (_FLOAT_PAIRS), checked for the
-    whole column at once. Every two adjacent bytes must make an allowed
-    pair, and a 0 that starts an integer part must be all of it; float()
-    rejects what else the pairs let through (a second "." or "e", or a "."
-    after the "e")."""
-    text = "\n" + "\n".join(fields) + "\n"
-    if text.isascii():
-        c = np.frombuffer(text.encode().translate(_BYTE_CLASS), dtype=np.uint8)
-        if np.take(pairs, c[:-1] * 8 + c[1:]).all():
-            start = np.flatnonzero(c[:-1] == _NL) + 1
-            start += c[start] == _MINUS
-            if not np.any((c[start] == _ZERO) & np.isin(c[start + 1], _DIGIT)):
-                return fields
-    raise ValueError("not a plain number")
-
-
 def load_model(source: str | TextIO) -> CrfModel:
     """Read a model that save_model wrote.
 
@@ -884,9 +838,6 @@ def load_model(source: str | TextIO) -> CrfModel:
     0..n-1 in order; `weights n` by n lines of 16·L lowercase hex digits,
     attribute i's L state weights in label order as little-endian IEEE-754
     binary64; `trans L²` by one line `label label weight` per label pair.
-    Files written before the `weights` section hold `state m` instead, m
-    lines `attr_id label weight` with the nonzero state weights, and still
-    load (a -0.0 among them reads back as 0.0, as that writer left it out).
 
     The header lines are read one at a time. The sections are cut into
     pieces of about LOAD_CHUNK_CHARS characters, ending on a line break;
@@ -896,14 +847,16 @@ def load_model(source: str | TextIO) -> CrfModel:
     bad line.
 
     Raises ModelFormatError, with the line number, for another version, a
-    truncated file, repeated label names, a section line with the wrong
-    number of fields, a number that is not plain (PLAIN_INT, PLAIN_FLOAT),
-    attribute ids out of order, a repeated or empty attribute name, a
-    `weights` count other than the attribute count, a weight row that is not
-    16·L lowercase hex digits, a state attribute id out of range, a label not
-    in the label list, a repeated (attribute, label) or (label, label) entry,
-    a weight that is not finite, a trans section that does not hold every
-    label pair, and any text after the `end` line.
+    truncated file, repeated label names, a meta line other than `none` or
+    the writer's three fields in order with a finite objective, a section
+    line with the wrong number of fields, a number that is not plain
+    (PLAIN_INT, PLAIN_FLOAT), attribute ids out of order, a repeated or
+    empty attribute name, a `state` section (a model written before the
+    `weights` section, to be retrained), a `weights` count other than the
+    attribute count, a weight row that is not 16·L lowercase hex digits, a
+    label not in the label list, a repeated (label, label) entry, a weight
+    that is not finite, a trans section that does not hold every label pair,
+    and any text after the `end` line.
     """
     text = source if isinstance(source, str) else source.read()
     pos = lineno = 0
@@ -965,20 +918,24 @@ def load_model(source: str | TextIO) -> CrfModel:
         config = FeatureConfig.from_spec(fields[1], k=int(_plain(PLAIN_INT, fields[2])))
     except ValueError as exc:
         raise ModelFormatError(f"line {lineno}: {exc}")
-    fields = take("meta line").split("\t")
-    if fields[0] != "meta":
+    line = take("meta line")
+    if line.split("\t", 1)[0] != "meta":
         raise ModelFormatError(f"line {lineno}: expected meta line")
     meta: Optional[TrainMeta] = None
-    if fields[1:] != ["none"]:
-        pairs = dict(f.split("=", 1) for f in fields[1:] if "=" in f)
+    if line != "meta\tnone":
+        found = re.fullmatch(
+            r"meta\titerations=([^\t]*)\tfinal_objective=([^\t]*)\tstopped_by=([^\t]*)", line
+        )
         try:
+            if found is None:
+                raise ValueError("expected iterations=, final_objective= and stopped_by=")
             meta = TrainMeta(
-                int(_plain(PLAIN_INT, pairs["iterations"])),
-                float(_plain(PLAIN_FLOAT, pairs["final_objective"])),
-                pairs["stopped_by"],
+                int(_plain(PLAIN_INT, found[1])), float(_plain(PLAIN_FLOAT, found[2])), found[3]
             )
-        except (KeyError, ValueError):
-            raise ModelFormatError(f"line {lineno}: malformed meta line")
+            if not np.isfinite(meta.final_objective):
+                raise ValueError("final objective is not a finite number")
+        except ValueError as exc:
+            raise ModelFormatError(f"line {lineno}: malformed meta line: {exc}")
 
     attr_index: dict[str, int] = {}
 
@@ -1008,33 +965,6 @@ def load_model(source: str | TextIO) -> CrfModel:
         except KeyError as exc:
             raise ValueError(f"unknown label {exc}") from None
 
-    def attr_ids(ids: list[str]) -> np.ndarray:
-        rows = np.array(_plain_column(ids, _INT_PAIRS), dtype=np.int64)
-        if rows.max() >= len(attr_index):
-            raise ValueError("attribute id out of range")
-        return rows
-
-    def scatter(
-        matrix: np.ndarray, row_ids: Callable[[list[str]], np.ndarray]
-    ) -> Callable[[list[list[str]]], None]:
-        """An `add` for section() that scatters weights into `matrix`, each
-        (row, label) once."""
-        flat, seen = matrix.reshape(-1), np.zeros(matrix.size, dtype=bool)
-
-        def add(columns: list[list[str]]) -> None:
-            rows, cols, values = columns
-            keys = row_ids(rows) * n_labels + label_ids(cols)
-            w = np.array(_plain_column(values, _FLOAT_PAIRS), dtype=float)
-            if not np.all(np.isfinite(w)):
-                raise ValueError("weight is not a finite number")
-            ordered = np.sort(keys)
-            if seen[keys].any() or np.any(ordered[1:] == ordered[:-1]):
-                raise ValueError("repeated entry")
-            seen[keys] = True
-            flat[keys] = w
-
-        return add
-
     state = np.zeros((len(attr_index), n_labels))
     filled = 0
 
@@ -1055,17 +985,34 @@ def load_model(source: str | TextIO) -> CrfModel:
         filled += len(rows)
 
     if text.startswith("state\t", pos):
-        section(section_count("state"), "state weight", 3, scatter(state, attr_ids))
-    else:
-        if (count := section_count("weights")) != len(attr_index):
-            raise ModelFormatError(
-                f"line {lineno}: weights section must hold all {len(attr_index)} attribute rows"
-            )
-        section(count, "weight row", 1, add_rows)
+        raise ModelFormatError(
+            f"line {lineno + 1}: a state section: the model was written before the dense"
+            " weights section; retrain it"
+        )
+    if (count := section_count("weights")) != len(attr_index):
+        raise ModelFormatError(
+            f"line {lineno}: weights section must hold all {len(attr_index)} attribute rows"
+        )
+    section(count, "weight row", 1, add_rows)
     trans = np.zeros((n_labels, n_labels))
+    seen = np.zeros(trans.size, dtype=bool)
+
+    def add_trans(columns: list[list[str]]) -> None:
+        """Scatter the next `label label weight` lines into `trans`, each
+        label pair once."""
+        prev, next_, values = columns
+        keys = label_ids(prev) * n_labels + label_ids(next_)
+        w = np.array([float(_plain(PLAIN_FLOAT, v)) for v in values])
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weight is not a finite number")
+        if seen[keys].any() or np.unique(keys).size < keys.size:
+            raise ValueError("repeated entry")
+        seen[keys] = True
+        trans.flat[keys] = w
+
     if (count := section_count("trans")) != trans.size:
         raise ModelFormatError(f"line {lineno}: trans section must hold all {trans.size} label pairs")
-    section(count, "transition weight", 3, scatter(trans, label_ids))
+    section(count, "transition weight", 3, add_trans)
     if take("end marker") != "end":
         raise ModelFormatError(f"line {lineno}: expected end marker")
     if pos < len(text):

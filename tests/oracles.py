@@ -218,36 +218,3 @@ def brute_features(chars, pos, cfg, lex):
         attrs.append(f"pmi[0_1]={_pmi_bin_label(right)}")
     return attrs
 
-
-def save_model_sparse(model, sink):
-    """Write `model` as save_model did before the dense `weights` section:
-    the same header lines and `attrs`, then `state m` with one decimal
-    `attr_id label weight` line per nonzero state weight. It checks nothing;
-    tests use it to make the files that such older writers left."""
-    sink.write("crfmodel-v1\n")
-    sink.write("labels" + "".join("\t" + l for l in model.labels) + "\n")
-    sink.write(f"config\t{model.config.spec()}\t{model.config.k}\n")
-    if model.meta is None:
-        sink.write("meta\tnone\n")
-    else:
-        m = model.meta
-        sink.write(
-            f"meta\titerations={m.iterations}\tfinal_objective={m.final_objective:.17g}"
-            f"\tstopped_by={m.stopped_by}\n"
-        )
-    attrs = sorted(model.attr_index.items(), key=lambda kv: kv[1])
-    sink.write(f"attrs\t{len(attrs)}\n")
-    for attr, attr_id in attrs:
-        sink.write(f"{attr_id}\t{attr}\n")
-    attr_ids, label_ids = np.nonzero(model.state_weights)
-    values = model.state_weights[attr_ids, label_ids]
-    sink.write(f"state\t{len(values)}\n")
-    sink.writelines(
-        f"{attr_id}\t{model.labels[label_id]}\t{value:.17g}\n"
-        for attr_id, label_id, value in zip(attr_ids.tolist(), label_ids.tolist(), values.tolist())
-    )
-    sink.write(f"trans\t{len(model.labels) ** 2}\n")
-    for i, a in enumerate(model.labels):
-        for j, b in enumerate(model.labels):
-            sink.write(f"{a}\t{b}\t{model.trans_weights[i, j]:.17g}\n")
-    sink.write("end\n")

@@ -37,8 +37,6 @@ from gujiseg.features import FeatureConfig, feature_columns, featurize_chars
 from gujiseg.lexicons import (
     GUANGYUN,
     PINGSHUIYUN,
-    PLAIN_FLOAT,
-    PLAIN_INT,
     EntityLexicon,
     LexiconSet,
     PmiTable,
@@ -54,7 +52,6 @@ from oracles import (
     reference_backward,
     reference_forward,
     reference_viterbi_path,
-    save_model_sparse,
 )
 
 POOL = [f"w[0]={c}" for c in "天地玄黃宇宙洪荒"]
@@ -1024,23 +1021,35 @@ class TestModelIO:
         assert back.config == model.config
         assert "seed=" not in sink.getvalue()
 
-    def test_meta_line_with_seed_loads(self):
-        # files written while the trainer recorded a seed carry it in the meta line
-        rng = random.Random(33)
-        data = rule_dataset(rng, 10)
-        model = train(data, TrainConfig(max_iterations=3))
+    # the meta line holds exactly the writer's three fields in its order; a
+    # `seed=` field marks a file from before the dense `weights` section
+    @pytest.mark.parametrize(
+        "new",
+        [
+            "meta\titerations=3\tfinal_objective=-1.5\tseed=42\tstopped_by=converged",
+            "meta\titerations=3\tfinal_objective=-1.5\tstopped_by=converged\tsource=x",
+            "meta\titerations=3\tfinal_objective=-1.5\tstopped_by=converged\tstopped_by=x",
+            "meta\titerations=3\titerations=3\tfinal_objective=-1.5\tstopped_by=converged",
+            "meta\titerations=3\tfinal_objective=-1.5\tstopped_by=converged\tconverged",
+            "meta\titerations=3\tfinal_objective=-1.5\tstopped_by",
+            "meta\tfinal_objective=-1.5\titerations=3\tstopped_by=converged",
+            "meta\titerations=3\tfinal_objective=-1.5",
+            "meta",
+            "meta\titerations=3\tfinal_objective=-1e+400\tstopped_by=converged",
+        ],
+        ids=["seed", "unknown-key", "repeated-last-key", "repeated-first-key", "field-without-equals",
+             "key-without-equals", "out-of-order", "missing-key", "empty", "overflowing-objective"],
+    )
+    def test_malformed_meta_line_refused(self, new):
+        meta = crf.TrainMeta(3, -1.5, "converged")
+        model = CrfModel(LABELS, {"a": 0}, np.zeros((1, 2)), np.zeros((2, 2)), FeatureConfig(), meta)
         sink = io.StringIO()
         save_model(model, sink)
-        m = model.meta
-        current = (f"meta\titerations={m.iterations}"
-                   f"\tfinal_objective={m.final_objective:.17g}\tstopped_by={m.stopped_by}\n")
-        older = current.replace("\tstopped_by=", "\tseed=42\tstopped_by=")
+        current = "meta\titerations=3\tfinal_objective=-1.5\tstopped_by=converged\n"
         assert current in sink.getvalue()
-        back = load_model(sink.getvalue().replace(current, older))
-        assert back.meta == load_model(sink.getvalue()).meta
-        assert back.meta.final_objective == m.final_objective
-        for attrs, _ in data:
-            assert viterbi(back, attrs) == viterbi(model, attrs)
+        assert load_model(sink.getvalue()).meta == meta
+        with pytest.raises(ModelFormatError, match="^line 4: malformed meta line"):
+            load_model(sink.getvalue().replace(current, new + "\n"))
 
     def test_empty_model_is_valid(self):
         m = make_model(attrs=())
@@ -1066,10 +1075,23 @@ class TestModelIO:
         sink = io.StringIO()
         save_model(make_model(attrs=("a",), state=[[0.5, -0.5]]), sink)
         lines = sink.getvalue().splitlines()
-        target = next(i for i, l in enumerate(lines) if l.startswith("0\t"))
-        lines[target] = "0\tO\tnot-a-number"
-        with pytest.raises(ModelFormatError, match=str(target + 1)):
+        target = lines.index("O\tO\t0")
+        assert lines[target - 1] == "trans\t4"
+        lines[target] = "O\tO\tnot-a-number"
+        with pytest.raises(ModelFormatError, match=f"^line {target + 1}: .*'not-a-number'"):
             load_model("\n".join(lines) + "\n")
+
+    def test_pre_dense_state_section_refused(self):
+        # a file from before the dense `weights` section: its state weights
+        # are a `state` section of decimal `attr_id label weight` lines
+        text = (
+            "crfmodel-v1\nlabels\tO\tM\nconfig\tc\t1\nmeta\tnone\nattrs\t1\n0\ta\n"
+            "state\t2\n0\tO\t0.5\n0\tM\t-0.5\n"
+            "trans\t4\nO\tO\t0\nO\tM\t0.25\nM\tO\t0\nM\tM\t0\nend\n"
+        )
+        assert text.count("\n") == 15 and text.split("\n")[6] == "state\t2"
+        with pytest.raises(ModelFormatError, match="^line 7: .*retrain"):
+            load_model(text)
 
     # tab and newline are the format's separators, which save_model rejects
     @settings(max_examples=40, deadline=None)
@@ -1097,41 +1119,43 @@ class TestModelIO:
         assert np.array_equal(back.trans_weights, m.trans_weights)
 
     # each edit breaks a saved two-attribute model at the line `bad`, which
-    # the error must name; edits of state lines break the sparse file that
-    # writers before the dense `weights` section left
+    # the error must name; the trans weights are all "0", and the edited
+    # ones are spellings that float() reads but the writer never emits
     @pytest.mark.parametrize(
-        "write, old, new, bad",
+        "old, new, bad",
         [
-            (save_model, "attrs\t2\n0\ta\n1\tb\n", "attrs\t3\n0\ta\n1\tb\n2\ta\n", "2\ta"),
-            (save_model, "\n0\ta\n1\tb\n", "\n0\n1\t1\tb\n", "0"),
-            (save_model, "\n1\tb\n", "\n1\t\n", "1\t"),
-            (save_model_sparse, "\n1\tO\t0.25\n", "\n-1\tO\t0.25\n", "-1\tO\t0.25"),
-            (save_model_sparse, "\n1\tO\t0.25\n", "\n1\tO\t0.25\t7\n", "1\tO\t0.25\t7"),
-            (save_model_sparse, "state\t3\n0\tO\t0.5\n", "state\t4\n0\tO\t0.5\n0\tO\t0.125\n", "0\tO\t0.125"),
-            (save_model, "trans\t4\nO\tO\t0\nO\tM\t0\nM\tO\t0\nM\tM\t0\n", "trans\t1\nO\tO\t0\n", "trans\t1"),
-            (save_model, "\nM\tO\t0\n", "\nO\tO\t0.5\n", "O\tO\t0.5"),
-            (save_model_sparse, "\n1\tO\t0.25\n", "\n1\tO\tnan\n", "1\tO\tnan"),
-            (save_model_sparse, "\n1\tO\t0.25\n", "\n1\tO\t-inf\n", "1\tO\t-inf"),
-            (save_model, "\nend\n", "\nend\nattrs\t1\n0\tb\n", "attrs\t1"),
-            (save_model_sparse, "\n0\tO\t0.5\n", "\n0\tO\t0_5\n", "0\tO\t0_5"),
-            (save_model_sparse, "\n0\tO\t0.5\n", "\n0\tO\t\uff10.\uff15\n", "0\tO\t\uff10.\uff15"),
-            (save_model_sparse, "\n0\tO\t0.5\n", "\n0\tO\t 0.5 \n", "0\tO\t 0.5 "),
-            (save_model_sparse, "\n0\tO\t0.5\n", "\n0\tO\t+0.5\n", "0\tO\t+0.5"),
-            (save_model, "\n0\ta\n", "\n0_0\ta\n", "0_0\ta"),
-            (save_model_sparse, "\n0\tO\t0.5\n", "\n0_0\tO\t0.5\n", "0_0\tO\t0.5"),
-            (save_model_sparse, "\n1\tO\t0.25\n", "\n01\tO\t0.25\n", "01\tO\t0.25"),
-            (save_model, "attrs\t2\n", "attrs\t0_2\n", "attrs\t0_2"),
+            ("attrs\t2\n0\ta\n1\tb\n", "attrs\t3\n0\ta\n1\tb\n2\ta\n", "2\ta"),
+            ("\n0\ta\n1\tb\n", "\n0\n1\t1\tb\n", "0"),
+            ("\n1\tb\n", "\n1\t\n", "1\t"),
+            ("\n1\tb\n", "\n-1\tb\n", "-1\tb"),
+            ("\nM\tO\t0\n", "\nM\tO\t0\t7\n", "M\tO\t0\t7"),
+            ("trans\t4\nO\tO\t0\nO\tM\t0\nM\tO\t0\nM\tM\t0\n", "trans\t1\nO\tO\t0\n", "trans\t1"),
+            ("\nM\tO\t0\n", "\nO\tO\t0.5\n", "O\tO\t0.5"),
+            ("\nM\tO\t0\n", "\nM\tO\tnan\n", "M\tO\tnan"),
+            ("\nM\tO\t0\n", "\nM\tO\t-inf\n", "M\tO\t-inf"),
+            ("\nM\tO\t0\n", "\nM\tO\t1e+400\n", "M\tO\t1e+400"),
+            ("\nend\n", "\nend\nattrs\t1\n0\tb\n", "attrs\t1"),
+            ("\nM\tO\t0\n", "\nM\tO\t0_5\n", "M\tO\t0_5"),
+            ("\nM\tO\t0\n", "\nM\tO\t\uff10.\uff15\n", "M\tO\t\uff10.\uff15"),
+            ("\nM\tO\t0\n", "\nM\tO\t 0.5 \n", "M\tO\t 0.5 "),
+            ("\nM\tO\t0\n", "\nM\tO\t+0.5\n", "M\tO\t+0.5"),
+            ("\nM\tO\t0\n", "\nM\tO\t-05\n", "M\tO\t-05"),
+            ("\nM\tO\t0\n", "\nM\tO\t1E-05\n", "M\tO\t1E-05"),
+            ("\nM\tO\t0\n", "\nM\tO\t.5\n", "M\tO\t.5"),
+            ("\n0\ta\n", "\n0_0\ta\n", "0_0\ta"),
+            ("\n1\tb\n", "\n01\tb\n", "01\tb"),
+            ("attrs\t2\n", "attrs\t0_2\n", "attrs\t0_2"),
         ],
         ids=["repeated-name", "fields-across-lines", "empty-name",
-             "negative-id", "fourth-field", "repeated-entry", "one-trans-pair",
-             "repeated-trans-pair", "nan-weight", "inf-weight", "text-after-end",
-             "underscore-weight", "full-width-weight", "spaced-weight", "plus-weight",
-             "underscore-attr-id", "underscore-state-id", "leading-zero-state-id",
-             "underscore-count"],
+             "negative-id", "fourth-field", "one-trans-pair",
+             "repeated-trans-pair", "nan-weight", "inf-weight", "overflowing-weight",
+             "text-after-end", "underscore-weight", "full-width-weight", "spaced-weight",
+             "plus-weight", "leading-zero-weight", "uppercase-exponent", "bare-point-weight",
+             "underscore-attr-id", "leading-zero-attr-id", "underscore-count"],
     )
-    def test_malformed_section_reports_line(self, write, old, new, bad):
+    def test_malformed_section_reports_line(self, old, new, bad):
         sink = io.StringIO()
-        write(make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]]), sink)
+        save_model(make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]]), sink)
         assert old in sink.getvalue()
         text = sink.getvalue().replace(old, new, 1)
         lineno = text.split("\n").index(bad) + 1
@@ -1161,21 +1185,14 @@ class TestModelIO:
         trans = np.array(data.draw(st.lists(weight, min_size=L * L, max_size=L * L))).reshape(L, L)
         model = CrfModel(tuple(labels), {n: i for i, n in enumerate(names)}, state, trans,
                          FeatureConfig())
-        sink, sparse_sink = io.StringIO(), io.StringIO()
+        sink = io.StringIO()
         save_model(model, sink)
-        save_model_sparse(model, sparse_sink)
-        text, sparse_text = sink.getvalue(), sparse_sink.getvalue()
+        text = sink.getvalue()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crf, "LOAD_CHUNK_CHARS", chunk)
             back = load_model(text)
             assert list(back.attr_index.items()) == list(model.attr_index.items())
             assert np.array_equal(back.state_weights.view(np.int64), state.view(np.int64))
-            assert np.array_equal(back.trans_weights.view(np.int64), trans.view(np.int64))
-            # the sparse file keeps the nonzero state weights only, so -0.0
-            # reads back as 0.0
-            back = load_model(sparse_text)
-            assert list(back.attr_index.items()) == list(model.attr_index.items())
-            assert np.array_equal(back.state_weights.view(np.int64), (state + 0.0).view(np.int64))
             assert np.array_equal(back.trans_weights.view(np.int64), trans.view(np.int64))
 
             def corrupt(text, section, edits):
@@ -1190,20 +1207,10 @@ class TestModelIO:
                     with pytest.raises(ModelFormatError, match=f"^line {header + 2 + j}:"):
                         load_model("\n".join(lines))
 
-            def sparse_edits(line, first, j):
-                attr_id, label, value = line.split("\t")
-                edits = [f"{attr_id}\t{label}\tnan", f"{len(names)}\t{label}\t{value}",
-                         f"{attr_id}\t{label}\t{value}\t0", f"{attr_id}\t{label}"]
-                if j:
-                    first_id, first_label, _ = first.split("\t")
-                    edits.append(f"{first_id}\t{first_label}\t{value}")
-                return edits
-
             def dense_edits(row, first, j):
                 return [row[:-1] + "F", row[:-1], row + "0", row[:-2], row[:2] + " " + row[2:],
                         row[:-1] + "g", "000000000000f87f" + row[16:], row + "\t0"]
 
-            corrupt(sparse_text, "state\t", sparse_edits)
             corrupt(text, "weights\t", dense_edits)
 
     def test_dense_round_trip_at_every_chunk(self):
@@ -1257,40 +1264,6 @@ class TestModelIO:
         lineno = text.split("\n").index(new if bad is None else bad) + 1
         with pytest.raises(ModelFormatError, match=f"^line {lineno}: .*{why}"):
             load_model(text)
-
-    def test_sparse_and_dense_files_load_alike(self):
-        rng = random.Random(35)
-        data = rule_dataset(rng, 20)
-        model = train(data, TrainConfig(max_iterations=10))
-        dense, sparse = io.StringIO(), io.StringIO()
-        save_model(model, dense)
-        save_model_sparse(model, sparse)
-        assert "\nweights\t" in dense.getvalue() and "\nstate\t" in sparse.getvalue()
-        a, b = load_model(dense.getvalue()), load_model(sparse.getvalue())
-        assert a.attr_index == b.attr_index
-        assert a.meta == b.meta and a.config == b.config
-        assert np.array_equal(a.state_weights.view(np.int64), b.state_weights.view(np.int64))
-        assert np.array_equal(a.trans_weights.view(np.int64), b.trans_weights.view(np.int64))
-        for attrs, _ in data:
-            assert viterbi(a, attrs) == viterbi(b, attrs)
-
-    # the whole-column check accepts exactly the fields the forms match
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.text("0123456789-+.e_ E\uff10", max_size=8),
-                              st.floats(allow_nan=False).map(lambda x: f"{x:.17g}")),
-                    min_size=1, max_size=4))
-    @example(["0", "-0.5", "1e+308", "5e-324", "120"])
-    @example(["1.5", "00"])
-    def test_plain_column_matches_forms(self, fields):
-        def accepts(pairs, parse):
-            try:
-                list(map(parse, crf._plain_column(fields, pairs)))
-            except ValueError:
-                return False
-            return True
-
-        assert accepts(crf._FLOAT_PAIRS, float) == all(map(PLAIN_FLOAT.fullmatch, fields))
-        assert accepts(crf._INT_PAIRS, int) == all(map(PLAIN_INT.fullmatch, fields))
 
     def test_load_peak_stays_near_model_size(self):
         # a whole-section field list (3 strings per state line) would hold
