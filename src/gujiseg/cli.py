@@ -44,6 +44,7 @@ from .corpus import (
     read_labeled_corpus,
     read_text_utf8,
     reinsert_marks,
+    strip_marks,
     write_labeled_corpus,
 )
 from .lexicons import (
@@ -272,9 +273,7 @@ def cmd_punctuate(args: argparse.Namespace) -> int:
     _require_resources(model.config, lexicons)
     text = read_text_utf8(args.input)
     boundary_found = sum(map(text.count, DEFAULT_BOUNDARY))
-    # what labelize keeps of each line: every mark it knows goes
-    strip = str.maketrans("", "", "".join(DEFAULT_BOUNDARY | DEFAULT_DISCARD))
-    stripped = [line.translate(strip) for line in text.splitlines()]
+    stripped = [strip_marks(line) for line in text.splitlines()]
     if boundary_found:
         logger.warning("input already contains %d boundary marks; stripped before decoding",
                        boundary_found)

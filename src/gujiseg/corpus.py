@@ -176,6 +176,15 @@ def labelize(
     return LabeledSequence(doc.doc_id, "".join(chars), "".join(labels))
 
 
+_MARKS = str.maketrans("", "", "".join(DEFAULT_BOUNDARY | DEFAULT_DISCARD))
+
+
+def strip_marks(text: str) -> str:
+    """What labelize keeps of `text` with the default sets: every boundary
+    and discarded mark goes."""
+    return text.translate(_MARKS)
+
+
 def filter_short(
     docs: Iterable[LabeledSequence], min_length: int
 ) -> list[LabeledSequence]:

@@ -46,6 +46,7 @@ training makes no BLAS call.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, Optional, Sequence, TextIO
 import numpy as np
 
 from .corpus import LABELS
-from .features import FeatureConfig
+from .features import FeatureConfig, check_count
 from .lexicons import PLAIN_FLOAT, PLAIN_INT
 
 ARMIJO_C = 1e-4
@@ -89,8 +90,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (0 < self.l2_sigma < np.inf):
             raise ValueError("l2_sigma must be a finite number > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        check_count("max_iterations", self.max_iterations, 1)
         if not (0 < self.tolerance < np.inf):
             raise ValueError("tolerance must be a finite number > 0")
 
@@ -145,6 +145,10 @@ class CrfModel:
     def __post_init__(self) -> None:
         _check_labels(self.labels)
         a, l = len(self.attr_index), len(self.labels)
+        # the model file gives each name its id by its place, so the ids
+        # must be 0..a-1, each once (compared lazily: no second list of a ids)
+        if not all(map(operator.eq, sorted(self.attr_index.values()), range(a))):
+            raise ValueError(f"attribute ids must be 0..{a - 1}, each once")
         if self.state_weights.shape != (a, l):
             raise ValueError(
                 f"state_weights shape {self.state_weights.shape}, expected {(a, l)}"
@@ -768,19 +772,21 @@ def save_model(model: CrfModel, sink: TextIO) -> None:
     attribute name holding a separator, an empty attribute name, a final
     objective that is not finite.
 
-    The state weights go in one `weights` section: a line per attribute,
-    its L weights in label order as lowercase hex of little-endian IEEE-754
-    binary64, so each line is 16·L hex digits."""
+    Each of the three sections is its count and then one field per line:
+    `attrs` the attribute names in id order, `weights` a line per attribute
+    and `trans` a line per label, each line the row's L weights in label
+    order as lowercase hex of little-endian IEEE-754 binary64, so 16·L hex
+    digits."""
     for label in model.labels:
         if "\t" in label or "\n" in label:
             raise ValueError(f"label {label!r} contains a separator")
     m = model.meta
     if m is not None and not np.isfinite(m.final_objective):
         raise ValueError(f"final objective {m.final_objective!r} is not a finite number")
-    attrs = sorted(model.attr_index.items(), key=lambda kv: kv[1])
-    joined = "".join(model.attr_index)
+    names = sorted(model.attr_index, key=model.attr_index.__getitem__)
+    joined = "".join(names)
     if "\t" in joined or "\n" in joined or "" in model.attr_index:
-        for attr, attr_id in attrs:
+        for attr_id, attr in enumerate(names):
             if "\t" in attr or "\n" in attr:
                 raise ValueError(f"attribute {attr!r} contains a separator")
             if not attr:
@@ -795,30 +801,16 @@ def save_model(model: CrfModel, sink: TextIO) -> None:
             f"meta\titerations={m.iterations}\tfinal_objective={m.final_objective:.17g}"
             f"\tstopped_by={m.stopped_by}\n"
         )
-    sink.write(f"attrs\t{len(attrs)}\n")
-    sink.writelines(f"{attr_id}\t{attr}\n" for attr, attr_id in attrs)
-    sink.write(f"weights\t{len(attrs)}\n")
-    if attrs:
-        row = 8 * len(model.labels)
-        sink.write(model.state_weights.astype("<f8").tobytes().hex("\n", row) + "\n")
-    sink.write(f"trans\t{len(model.labels) ** 2}\n")
-    for i, a in enumerate(model.labels):
-        for j, b in enumerate(model.labels):
-            sink.write(f"{a}\t{b}\t{model.trans_weights[i, j]:.17g}\n")
+    row = 8 * len(model.labels)
+    for name, count, lines in (
+        ("attrs", len(names), "\n".join(names)),
+        ("weights", len(names), model.state_weights.astype("<f8").tobytes().hex("\n", row)),
+        ("trans", len(model.labels), model.trans_weights.astype("<f8").tobytes().hex("\n", row)),
+    ):
+        sink.write(f"{name}\t{count}\n")
+        if count:
+            sink.write(lines + "\n")
     sink.write("end\n")
-
-
-def _columns(piece: str, lines: int, width: int) -> list[list[str]]:
-    """The `width` columns of the `lines` tab-separated lines of `piece`.
-
-    One split: every line break becomes a field of its own, so a row is
-    `width` fields and a break, and a line with another field count moves
-    a break off its place."""
-    flat = piece.replace("\n", "\t\n\t").split("\t")
-    step = width + 1
-    if len(flat) != step * lines - 1 or flat[width::step].count("\n") != lines - 1:
-        raise ValueError(f"expected {width} tab-separated fields")
-    return [flat[i::step] for i in range(width)]
 
 
 def _plain(form: re.Pattern, field: str) -> str:
@@ -834,29 +826,29 @@ def load_model(source: str | TextIO) -> CrfModel:
     The file is lines of tab-separated fields: the version header,
     `labels` and the label names, `config` with the feature spec and k,
     `meta` with the training facts (or `none`), then three counted
-    sections and `end`. `attrs n` is followed by n lines `id name`, the ids
-    0..n-1 in order; `weights n` by n lines of 16·L lowercase hex digits,
-    attribute i's L state weights in label order as little-endian IEEE-754
-    binary64; `trans L²` by one line `label label weight` per label pair.
+    sections of one field per line and `end`. `attrs n` is followed by the
+    n attribute names, the line number giving the id; `weights n` by a
+    line per attribute and `trans L` by a line per label, each line the
+    row's L weights in label order as 16·L lowercase hex digits of
+    little-endian IEEE-754 binary64.
 
     The header lines are read one at a time. The sections are cut into
     pieces of about LOAD_CHUNK_CHARS characters, ending on a line break;
-    each piece is split once and converted one column at a time with numpy,
-    so besides the text and the model the parse holds one piece's fields.
-    A piece that fails a check is read again line by line to name the first
-    bad line.
+    each piece is checked for tabs and handed whole to its section's
+    reader, so besides the text and the model the parse holds one piece's
+    rows. A piece that fails a check is read again line by line to name
+    the first bad line.
 
     Raises ModelFormatError, with the line number, for another version, a
     truncated file, repeated label names, a meta line other than `none` or
     the writer's three fields in order with a finite objective, a section
-    line with the wrong number of fields, a number that is not plain
-    (PLAIN_INT, PLAIN_FLOAT), attribute ids out of order, a repeated or
-    empty attribute name, a `state` section (a model written before the
-    `weights` section, to be retrained), a `weights` count other than the
-    attribute count, a weight row that is not 16·L lowercase hex digits, a
-    label not in the label list, a repeated (label, label) entry, a weight
-    that is not finite, a trans section that does not hold every label pair,
-    and any text after the `end` line.
+    line with a tab, a count or `k` that is not a plain integer (PLAIN_INT)
+    or a final objective that is not a plain float (PLAIN_FLOAT), a
+    repeated or empty attribute name, an attribute id column (a model
+    written before bare names, to be retrained), a `weights` count other
+    than the attribute count or a `trans` count other than the label count,
+    a row that is not 16·L lowercase hex digits, a weight that is not
+    finite, and any text after the `end` line.
     """
     text = source if isinstance(source, str) else source.read()
     pos = lineno = 0
@@ -879,10 +871,17 @@ def load_model(source: str | TextIO) -> CrfModel:
             raise ModelFormatError(f"line {lineno}: bad {name} count {fields[1]!r}")
         return int(fields[1])
 
-    def section(count: int, what: str, width: int, add: Callable[[list[list[str]]], None]) -> None:
-        """Hand the next `count` lines to `add` as columns, a piece at a time.
-        An `add` that raises leaves the model as it found it."""
+    def section(count: int, what: str, add: Callable[[str, int], None]) -> None:
+        """Hand the next `count` lines to `add` a piece at a time, as the
+        piece's text and its number of lines, once the piece is found to hold
+        no tab. An `add` that raises leaves the model as it found it."""
         nonlocal pos, lineno
+
+        def add_lines(piece: str, lines: int) -> None:
+            if "\t" in piece:
+                raise ValueError("expected 1 field, found tab-separated fields")
+            add(piece, lines)
+
         while count:
             if pos > len(text):
                 raise ModelFormatError(f"truncated model file: missing {what}")
@@ -893,12 +892,12 @@ def load_model(source: str | TextIO) -> CrfModel:
                 piece = piece[: len(piece) - len(piece.split("\n", count)[-1]) - 1]
                 lines = count
             try:
-                add(_columns(piece, lines, width))
-            except (ValueError, OverflowError):
+                add_lines(piece, lines)
+            except ValueError:
                 for number, line in enumerate(piece.split("\n"), lineno + 1):
                     try:
-                        add(_columns(line, 1, width))
-                    except (ValueError, OverflowError) as exc:
+                        add_lines(line, 1)
+                    except ValueError as exc:
                         raise ModelFormatError(f"line {number}: bad {what} {line!r}: {exc}") from None
                 raise
             pos += len(piece) + 1
@@ -939,15 +938,13 @@ def load_model(source: str | TextIO) -> CrfModel:
 
     attr_index: dict[str, int] = {}
 
-    def add_attrs(columns: list[list[str]]) -> None:
-        ids, names = columns
-        start, stop = len(attr_index), len(attr_index) + len(names)
-        if ids != list(map(str, range(start, stop))):
-            raise ValueError(f"attribute ids must count up from {start}")
+    def add_names(piece: str, lines: int) -> None:
+        names = piece.split("\n")
         if "" in names:
             raise ValueError("empty attribute name")
-        attr_index.update(zip(names, range(start, stop)))
-        if len(attr_index) < stop:
+        start = len(attr_index)
+        attr_index.update(zip(names, range(start, start + lines)))
+        if len(attr_index) < start + lines:
             # a repeated name: restore the names before the piece (an update
             # keeps a name's place and changes its id)
             kept = list(attr_index)[:start]
@@ -955,64 +952,41 @@ def load_model(source: str | TextIO) -> CrfModel:
             attr_index.update(zip(kept, range(start)))
             raise ValueError("repeated attribute name")
 
-    section(section_count("attrs"), "attribute entry", 2, add_attrs)
-    label_pos = {l: i for i, l in enumerate(labels)}
+    count = section_count("attrs")
+    # every file written with an id column starts its attrs with id 0
+    if count and text.startswith("0\t", pos):
+        raise ModelFormatError(
+            f"line {lineno + 1}: an attribute id column: the model was written before"
+            " bare attribute names; retrain it"
+        )
+    section(count, "attribute name", add_names)
     n_labels = len(labels)
 
-    def label_ids(names: list[str]) -> np.ndarray:
-        try:
-            return np.array(list(map(label_pos.__getitem__, names)), dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"unknown label {exc}") from None
+    def rows_into(target: np.ndarray) -> Callable[[str, int], None]:
+        """An `add` that decodes the next hex rows into `target`."""
+        filled = 0
+
+        def add_rows(piece: str, lines: int) -> None:
+            nonlocal filled
+            data = bytearray.fromhex(piece)
+            # the re-encoding is the one spelling: lowercase, no spaces, and
+            # with the length, 16·L digits on every line
+            if len(data) != 8 * n_labels * lines or data.hex("\n", 8 * n_labels) != piece:
+                raise ValueError(f"expected lines of {16 * n_labels} lowercase hex digits")
+            w = np.frombuffer(data, dtype="<f8").reshape(lines, n_labels)
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weight is not a finite number")
+            target[filled : filled + lines] = w
+            filled += lines
+
+        return add_rows
 
     state = np.zeros((len(attr_index), n_labels))
-    filled = 0
-
-    def add_rows(columns: list[list[str]]) -> None:
-        """Decode the next rows of the `weights` section into `state`."""
-        nonlocal filled
-        (rows,) = columns
-        piece = "\n".join(rows)
-        data = bytearray.fromhex(piece)
-        # the re-encoding is the one spelling: lowercase, no spaces, and
-        # with the length, 16·L digits on every line
-        if len(data) != 8 * n_labels * len(rows) or data.hex("\n", 8 * n_labels) != piece:
-            raise ValueError(f"expected lines of {16 * n_labels} lowercase hex digits")
-        w = np.frombuffer(data, dtype="<f8").reshape(len(rows), n_labels)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight is not a finite number")
-        state[filled : filled + len(rows)] = w
-        filled += len(rows)
-
-    if text.startswith("state\t", pos):
-        raise ModelFormatError(
-            f"line {lineno + 1}: a state section: the model was written before the dense"
-            " weights section; retrain it"
-        )
-    if (count := section_count("weights")) != len(attr_index):
-        raise ModelFormatError(
-            f"line {lineno}: weights section must hold all {len(attr_index)} attribute rows"
-        )
-    section(count, "weight row", 1, add_rows)
     trans = np.zeros((n_labels, n_labels))
-    seen = np.zeros(trans.size, dtype=bool)
-
-    def add_trans(columns: list[list[str]]) -> None:
-        """Scatter the next `label label weight` lines into `trans`, each
-        label pair once."""
-        prev, next_, values = columns
-        keys = label_ids(prev) * n_labels + label_ids(next_)
-        w = np.array([float(_plain(PLAIN_FLOAT, v)) for v in values])
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight is not a finite number")
-        if seen[keys].any() or np.unique(keys).size < keys.size:
-            raise ValueError("repeated entry")
-        seen[keys] = True
-        trans.flat[keys] = w
-
-    if (count := section_count("trans")) != trans.size:
-        raise ModelFormatError(f"line {lineno}: trans section must hold all {trans.size} label pairs")
-    section(count, "transition weight", 3, add_trans)
+    for name, target, per in (("weights", state, "attribute"), ("trans", trans, "label")):
+        if (count := section_count(name)) != len(target):
+            raise ModelFormatError(f"line {lineno}: {name} section must hold all {len(target)} {per} rows")
+        section(count, f"{name} row", rows_into(target))
     if take("end marker") != "end":
         raise ModelFormatError(f"line {lineno}: expected end marker")
     if pos < len(text):

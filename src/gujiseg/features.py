@@ -25,6 +25,7 @@ O(len(seq)).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import chain, count
@@ -46,6 +47,17 @@ EOS = "<EOS>"
 K_WARN_LIMIT = 10
 
 
+def check_count(name: str, value: object, least: int) -> None:
+    """Raise ValueError unless `value` is an integer of at least `least`:
+    an int or a numpy integer, not a bool or a float."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     """Which templates are active and how wide the context window is."""
@@ -57,8 +69,7 @@ class FeatureConfig:
     use_pmi: bool = False
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("window radius k must be >= 0")
+        check_count("window radius k", self.k, 0)
         if self.k > K_WARN_LIMIT:
             warnings.warn(f"window radius k={self.k} is unusually large")
         if self.pronunciation is not None and self.pronunciation not in RHYME_SOURCES:

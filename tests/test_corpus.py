@@ -20,6 +20,7 @@ from gujiseg.corpus import (
     read_labeled_corpus,
     read_text_utf8,
     reinsert_marks,
+    strip_marks,
     write_labeled_corpus,
 )
 
@@ -118,6 +119,18 @@ class TestLabelize:
         again = labelize(Document("d", reinsert_marks(seq)))
         assert again.chars == seq.chars
         assert again.labels == seq.labels
+
+    # punctuate strips its input with strip_marks, so it must keep exactly
+    # the characters that labelize keeps of a line
+    @given(st.text(st.one_of(st.sampled_from(sorted(DEFAULT_BOUNDARY | DEFAULT_DISCARD)),
+                             st.sampled_from(HAN), st.characters()), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_strip_marks_keeps_what_labelize_keeps(self, text):
+        try:
+            kept = labelize(Document("", text)).chars
+        except EmptySequenceError:
+            kept = ""
+        assert strip_marks(text) == kept
 
 
 class TestFilterShort:

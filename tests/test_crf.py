@@ -919,6 +919,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(max_iterations=0)
 
+    # refused here, not inside train after encoding (a float), nor taken
+    # as one iteration (True)
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+    def test_non_integer_iterations_rejected(self, value):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            TrainConfig(max_iterations=value)
+
+    def test_numpy_integer_iterations_accepted(self):
+        rng = random.Random(35)
+        data = rule_dataset(rng, 5)
+        model = train(data, TrainConfig(max_iterations=np.int64(2), tolerance=1e-12))
+        assert model.meta.iterations == 2
+
     @pytest.mark.parametrize("field", ["l2_sigma", "tolerance"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_non_finite_or_non_positive_settings_rejected(self, field, value):
@@ -994,6 +1007,11 @@ class TestTrain:
         cfg = FeatureConfig(k=2, use_bigrams=True)
         model = train(data, TrainConfig(max_iterations=1), feature_config=cfg)
         assert model.config == cfg
+
+
+# the meta line of a model trained 3 iterations, its final objective left open
+META_LINE = "meta\titerations=3\tfinal_objective={}\tstopped_by=converged"
+ZERO_ROW = "0" * 32  # a `trans` row of two zero weights
 
 
 class TestModelIO:
@@ -1075,23 +1093,42 @@ class TestModelIO:
         sink = io.StringIO()
         save_model(make_model(attrs=("a",), state=[[0.5, -0.5]]), sink)
         lines = sink.getvalue().splitlines()
-        target = lines.index("O\tO\t0")
-        assert lines[target - 1] == "trans\t4"
-        lines[target] = "O\tO\tnot-a-number"
+        target = lines.index("trans\t2") + 1
+        assert lines[target] == ZERO_ROW
+        lines[target] = "not-a-number"
         with pytest.raises(ModelFormatError, match=f"^line {target + 1}: .*'not-a-number'"):
             load_model("\n".join(lines) + "\n")
 
     def test_pre_dense_state_section_refused(self):
         # a file from before the dense `weights` section: its state weights
-        # are a `state` section of decimal `attr_id label weight` lines
+        # are a `state` section of decimal `attr_id label weight` lines, and
+        # its attrs lines carry an id column
         text = (
             "crfmodel-v1\nlabels\tO\tM\nconfig\tc\t1\nmeta\tnone\nattrs\t1\n0\ta\n"
             "state\t2\n0\tO\t0.5\n0\tM\t-0.5\n"
             "trans\t4\nO\tO\t0\nO\tM\t0.25\nM\tO\t0\nM\tM\t0\nend\n"
         )
-        assert text.count("\n") == 15 and text.split("\n")[6] == "state\t2"
-        with pytest.raises(ModelFormatError, match="^line 7: .*retrain"):
+        assert text.count("\n") == 15 and text.split("\n")[5] == "0\ta"
+        with pytest.raises(ModelFormatError, match="^line 6: .*retrain"):
             load_model(text)
+
+    def test_id_column_file_refused(self):
+        # a file from before bare attribute names: `id name` attrs lines and
+        # decimal `label label weight` trans lines
+        text = (
+            "crfmodel-v1\nlabels\tO\tM\nconfig\tc\t1\nmeta\tnone\nattrs\t2\n0\ta\n1\tb\n"
+            "weights\t2\n000000000000e03f000000000000e0bf\n000000000000d03f0000000000000000\n"
+            "trans\t4\nO\tO\t0\nO\tM\t0.25\nM\tO\t0\nM\tM\t0\nend\n"
+        )
+        with pytest.raises(ModelFormatError, match="^line 6: an attribute id column.*retrain"):
+            load_model(text)
+        # without attributes, such a file has no id column and stops at its
+        # decimal trans section
+        empty = text.replace("attrs\t2\n0\ta\n1\tb\n", "attrs\t0\n").replace(
+            "weights\t2\n000000000000e03f000000000000e0bf\n000000000000d03f0000000000000000\n",
+            "weights\t0\n")
+        with pytest.raises(ModelFormatError, match="^line 7: trans section must hold all 2"):
+            load_model(empty)
 
     # tab and newline are the format's separators, which save_model rejects
     @settings(max_examples=40, deadline=None)
@@ -1118,47 +1155,45 @@ class TestModelIO:
         assert np.array_equal(back.state_weights, m.state_weights)
         assert np.array_equal(back.trans_weights, m.trans_weights)
 
-    # each edit breaks a saved two-attribute model at the line `bad`, which
-    # the error must name; the trans weights are all "0", and the edited
-    # ones are spellings that float() reads but the writer never emits
+    # each edit breaks a saved two-attribute model at the line `bad` (its
+    # last occurrence), which the error must name; the trans rows are all
+    # zeros. The final objective is the model's last decimal float: the
+    # "-weight" cases are spellings of it that float() reads but the
+    # writer never emits
     @pytest.mark.parametrize(
         "old, new, bad",
         [
-            ("attrs\t2\n0\ta\n1\tb\n", "attrs\t3\n0\ta\n1\tb\n2\ta\n", "2\ta"),
-            ("\n0\ta\n1\tb\n", "\n0\n1\t1\tb\n", "0"),
-            ("\n1\tb\n", "\n1\t\n", "1\t"),
-            ("\n1\tb\n", "\n-1\tb\n", "-1\tb"),
-            ("\nM\tO\t0\n", "\nM\tO\t0\t7\n", "M\tO\t0\t7"),
-            ("trans\t4\nO\tO\t0\nO\tM\t0\nM\tO\t0\nM\tM\t0\n", "trans\t1\nO\tO\t0\n", "trans\t1"),
-            ("\nM\tO\t0\n", "\nO\tO\t0.5\n", "O\tO\t0.5"),
-            ("\nM\tO\t0\n", "\nM\tO\tnan\n", "M\tO\tnan"),
-            ("\nM\tO\t0\n", "\nM\tO\t-inf\n", "M\tO\t-inf"),
-            ("\nM\tO\t0\n", "\nM\tO\t1e+400\n", "M\tO\t1e+400"),
-            ("\nend\n", "\nend\nattrs\t1\n0\tb\n", "attrs\t1"),
-            ("\nM\tO\t0\n", "\nM\tO\t0_5\n", "M\tO\t0_5"),
-            ("\nM\tO\t0\n", "\nM\tO\t\uff10.\uff15\n", "M\tO\t\uff10.\uff15"),
-            ("\nM\tO\t0\n", "\nM\tO\t 0.5 \n", "M\tO\t 0.5 "),
-            ("\nM\tO\t0\n", "\nM\tO\t+0.5\n", "M\tO\t+0.5"),
-            ("\nM\tO\t0\n", "\nM\tO\t-05\n", "M\tO\t-05"),
-            ("\nM\tO\t0\n", "\nM\tO\t1E-05\n", "M\tO\t1E-05"),
-            ("\nM\tO\t0\n", "\nM\tO\t.5\n", "M\tO\t.5"),
-            ("\n0\ta\n", "\n0_0\ta\n", "0_0\ta"),
-            ("\n1\tb\n", "\n01\tb\n", "01\tb"),
-            ("attrs\t2\n", "attrs\t0_2\n", "attrs\t0_2"),
+            pytest.param("attrs\t2\na\nb\n", "attrs\t3\na\nb\na\n", "a", id="repeated-name"),
+            pytest.param("\na\nb\n", "\na\tb\nc\n", "a\tb", id="fields-across-lines"),
+            pytest.param("\na\nb\n", "\na\n\n", "", id="empty-name"),
+            pytest.param(f"\n{ZERO_ROW}\nend\n", f"\n{ZERO_ROW}\t7\nend\n", f"{ZERO_ROW}\t7",
+                         id="fourth-field"),
+            pytest.param(f"trans\t2\n{ZERO_ROW}\n{ZERO_ROW}\n", f"trans\t1\n{ZERO_ROW}\n",
+                         "trans\t1", id="one-trans-pair"),
+            pytest.param("\nend\n", "\nend\nattrs\t1\nb\n", "attrs\t1", id="text-after-end"),
+            pytest.param("attrs\t2\n", "attrs\t0_2\n", "attrs\t0_2", id="underscore-count"),
+            *(
+                pytest.param("final_objective=-1.5\t", f"final_objective={value}\t",
+                             META_LINE.format(value), id=name)
+                for name, value in [
+                    ("nan-weight", "nan"), ("inf-weight", "-inf"), ("overflowing-weight", "1e+400"),
+                    ("underscore-weight", "0_5"), ("full-width-weight", "\uff10.\uff15"),
+                    ("spaced-weight", " 0.5 "), ("plus-weight", "+0.5"),
+                    ("leading-zero-weight", "-05"), ("uppercase-exponent", "1E-05"),
+                    ("bare-point-weight", ".5"),
+                ]
+            ),
         ],
-        ids=["repeated-name", "fields-across-lines", "empty-name",
-             "negative-id", "fourth-field", "one-trans-pair",
-             "repeated-trans-pair", "nan-weight", "inf-weight", "overflowing-weight",
-             "text-after-end", "underscore-weight", "full-width-weight", "spaced-weight",
-             "plus-weight", "leading-zero-weight", "uppercase-exponent", "bare-point-weight",
-             "underscore-attr-id", "leading-zero-attr-id", "underscore-count"],
     )
     def test_malformed_section_reports_line(self, old, new, bad):
+        model = make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]])
+        model.meta = crf.TrainMeta(3, -1.5, "converged")
         sink = io.StringIO()
-        save_model(make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]]), sink)
-        assert old in sink.getvalue()
+        save_model(model, sink)
+        assert old in sink.getvalue() and META_LINE.format(-1.5) in sink.getvalue()
         text = sink.getvalue().replace(old, new, 1)
-        lineno = text.split("\n").index(bad) + 1
+        lines = text.split("\n")[:-1]  # the text ends with a line break
+        lineno = len(lines) - lines[::-1].index(bad)
         with pytest.raises(ModelFormatError, match=f"^line {lineno}:"):
             load_model(text)
 
@@ -1227,11 +1262,13 @@ class TestModelIO:
             assert np.array_equal(back.state_weights.view(np.int64), state.view(np.int64))
             assert np.array_equal(back.trans_weights.view(np.int64), trans.view(np.int64))
 
-    # each edit breaks the `weights` section of a saved two-attribute model
-    # at the line `bad` (the edited line if None), which the error must name
-    # with the reason `why`
+    # each edit breaks the `weights` or `trans` section of a saved
+    # two-attribute model at the line `bad` (the edited line if None), which
+    # the error must name with the reason `why`
     ROW_A = "000000000000e03f000000000000e0bf"  # 0.5, -0.5
     ROW_B = "000000000000d03f0000000000000000"  # 0.25, 0.0
+    TRANS_A = "000000000000f03f0000000000000040"  # 1.0, 2.0
+    TRANS_B = "000000000000f0bf0000000000000080"  # -1.0, -0.0
 
     @pytest.mark.parametrize(
         "old, new, bad, why",
@@ -1244,21 +1281,34 @@ class TestModelIO:
             (ROW_B, ROW_B + "00", None, "hex digits"),
             (ROW_A, ROW_A[:-1] + "x", None, "non-hexadecimal"),
             (ROW_A, ROW_A + "\t0", None, "tab-separated"),
-            (ROW_B + "\n", "", "trans\t4", "tab-separated"),
+            (ROW_B + "\n", "", "trans\t2", "tab-separated"),
             ("weights\t2", "weights\t3", None, "must hold all 2 attribute rows"),
             ("weights\t2", "weights\t1", None, "must hold all 2 attribute rows"),
             ("weights\t2", "weights\t02", None, "bad weights count"),
             (ROW_B, "000000000000f87f0000000000000000", None, "not a finite number"),
             (ROW_B, "000000000000f07f0000000000000000", None, "not a finite number"),
             (ROW_B, "000000000000d03f000000000000f0ff", None, "not a finite number"),
+            (TRANS_A, "000000000000F03F0000000000000040", None, "hex digits"),
+            (TRANS_A, TRANS_A[:-1], None, "non-hexadecimal"),
+            (TRANS_B, TRANS_B + "00", None, "hex digits"),
+            (TRANS_B, TRANS_B + "\t0", None, "tab-separated"),
+            (TRANS_B + "\n", "", "end", "non-hexadecimal"),
+            ("trans\t2", "trans\t4", None, "must hold all 2 label rows"),
+            ("trans\t2", "trans\t1", None, "must hold all 2 label rows"),
+            (TRANS_A, "000000000000f87f0000000000000040", None, "not a finite number"),
         ],
         ids=["uppercase-digit", "space", "digit-short", "digit-long", "byte-short", "byte-long",
              "non-hex", "second-field", "missing-row", "count-above-attrs", "count-below-attrs",
-             "leading-zero-count", "nan-bits", "inf-bits", "minus-inf-bits"],
+             "leading-zero-count", "nan-bits", "inf-bits", "minus-inf-bits",
+             "trans-uppercase-digit", "trans-digit-short", "trans-byte-long", "trans-second-field",
+             "trans-missing-row", "trans-count-above-labels", "trans-count-below-labels",
+             "trans-nan-bits"],
     )
     def test_malformed_weights_reports_line(self, old, new, bad, why):
         sink = io.StringIO()
-        save_model(make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]]), sink)
+        model = make_model(attrs=("a", "b"), state=[[0.5, -0.5], [0.25, 0.0]],
+                           trans=[[1.0, 2.0], [-1.0, -0.0]])
+        save_model(model, sink)
         assert old in sink.getvalue()
         text = sink.getvalue().replace(old, new, 1)
         lineno = text.split("\n").index(new if bad is None else bad) + 1
@@ -1293,6 +1343,22 @@ class TestModelValidation:
         state = np.array([[np.nan, 0.0]])
         with pytest.raises(ValueError):
             CrfModel(LABELS, {"a": 0}, state, np.zeros((2, 2)), FeatureConfig())
+
+    # the model file gives an attribute its id by its line, so a model whose
+    # ids are not 0..n-1 would save and read back as another model
+    @pytest.mark.parametrize("index", [{"a": 0, "b": 2}, {"a": 1, "b": 1}], ids=["gap", "repeated"])
+    def test_attribute_ids_must_count_from_zero(self, index):
+        with pytest.raises(ValueError, match="attribute ids must be 0..1, each once"):
+            CrfModel(LABELS, index, np.zeros((2, 2)), np.zeros((2, 2)), FeatureConfig())
+
+    def test_permuted_attribute_ids_round_trip(self):
+        model = CrfModel(LABELS, {"b": 1, "a": 0}, np.array([[0.5, -0.5], [0.25, 0.0]]),
+                         np.zeros((2, 2)), FeatureConfig())
+        sink = io.StringIO()
+        save_model(model, sink)
+        back = load_model(sink.getvalue())
+        assert list(back.attr_index.items()) == [("a", 0), ("b", 1)]
+        assert np.array_equal(back.state_weights, model.state_weights)
 
     def test_unknown_label_lookup(self):
         with pytest.raises(ValueError):

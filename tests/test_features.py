@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,16 @@ class TestFeatureConfig:
     def test_negative_k(self):
         with pytest.raises(ValueError):
             FeatureConfig(k=-1)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="window radius k must be an integer"):
+            FeatureConfig(k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        cfg = FeatureConfig(k=np.int64(2), use_bigrams=True)
+        plain = FeatureConfig(k=2, use_bigrams=True)
+        assert featurize_chars("天地玄黃", cfg) == featurize_chars("天地玄黃", plain)
 
     def test_large_k_warns(self):
         with pytest.warns(UserWarning):
