@@ -49,7 +49,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -146,8 +146,11 @@ class CrfModel:
         _check_labels(self.labels)
         a, l = len(self.attr_index), len(self.labels)
         # the model file gives each name its id by its place, so the ids
-        # must be 0..a-1, each once (compared lazily: no second list of a ids)
-        if not all(map(operator.eq, sorted(self.attr_index.values()), range(a))):
+        # must be 0..a-1, each once. load_model and train hand them out in
+        # order, so the ids are compared in order first and sorted only when
+        # that fails (compared lazily: no second list of a ids)
+        ids = self.attr_index.values()
+        if not (all(map(operator.eq, ids, range(a))) or all(map(operator.eq, sorted(ids), range(a)))):
             raise ValueError(f"attribute ids must be 0..{a - 1}, each once")
         if self.state_weights.shape != (a, l):
             raise ValueError(
@@ -289,40 +292,43 @@ def _scan(
     product from entry label i = m to label j. One vectorised step per
     position of a piece then turns each row's step matrix into its prefix
     product: one np.add builds every term p[i, m] one step before + p[m, j]
-    as [i, m, j, lanes], and a fold over m in the semiring writes the
-    result over the step matrix it read. One short pass along the blocks
-    carries each sequence's scores from piece to piece, and one broadcast
-    fold applies the carries to every prefix. For a longest sequence of T
-    positions that is O(SCAN_BLOCK + T / SCAN_BLOCK) numpy calls. The sums
-    are those of the step-by-step recursion (tests/oracles.py) taken in
-    another order; a sequence's sums do not depend on the batch around it.
+    in a flat scratch viewed as a contiguous [m, i, j, lanes], a fold over m
+    in the semiring leaves the sums in a contiguous [i, j, lanes] result,
+    and one np.copyto writes them over the step matrices in p that the step
+    read. So every ufunc of the fold runs on contiguous arrays, not on views
+    of p with two strided outer axes; the adds and their order are the same
+    either way. One short pass along the blocks carries each sequence's
+    scores from piece to piece, its terms [i, j, lanes] and sums [j, lanes]
+    in the same scratch and result, and one broadcast fold applies the
+    carries to every prefix. For a longest sequence of T positions that is
+    O(SCAN_BLOCK + T / SCAN_BLOCK) numpy calls. The sums are those of the
+    step-by-step recursion (tests/oracles.py) taken in another order; a
+    sequence's sums do not depend on the batch around it.
     """
-    n_labels = len(trans)
+    L = len(trans)
     x = np.empty_like(emis)
     x[blocks.first] = emis[blocks.first]
     if not len(blocks.rows):
         return x
-    p = np.empty((n_labels, n_labels, len(blocks.rows)))
+    p = np.empty((L, L, len(blocks.rows)))
     np.add(trans[:, :, None], np.take(emis.T, blocks.rows, axis=1), out=p)
     lanes = blocks.steps[0][1]
-    buf = np.empty((n_labels, n_labels, n_labels, lanes))
+    scratch, result = np.empty(L**3 * lanes), np.empty(L**2 * lanes)
     for (before, _), (start, n) in zip(blocks.steps, blocks.steps[1:]):
         # p[i, j] = add over m of (p[i, m] one step before + the step matrix p[m, j])
-        out, terms = p[:, :, start : start + n], buf[..., :n]
-        np.add(p[:, :, None, before : before + n], out, out=terms)
-        _fold(terms.swapaxes(0, 1), add, out)
-    del buf
-    carry = np.empty((n_labels, lanes))
+        out, terms = p[:, :, start : start + n], scratch[: L**3 * n].reshape(L, L, L, n)
+        np.add(p[:, :, None, before : before + n].swapaxes(0, 1), out[:, None], out=terms)
+        np.copyto(out, _fold(terms, add, result[: L**2 * n].reshape(L, L, n)))
+    carry = np.empty((L, lanes))
     carry[:, : blocks.entry] = emis[blocks.first[: blocks.entry]].T
-    buf = np.empty((n_labels, n_labels, blocks.entry))
     for lane, earlier, last, n in blocks.chain:
         # carry[j] = add over i of (carry[i] one block before + p[i, j] at its end)
-        terms = buf[..., :n]
+        terms = scratch[: L**2 * n].reshape(L, L, n)
         np.add(carry[:, None, earlier : earlier + n], p[:, :, last : last + n], out=terms)
-        _fold(terms, add, carry[:, lane : lane + n])
+        np.copyto(carry[:, lane : lane + n], _fold(terms, add, result[: L * n].reshape(L, n)))
     p += np.take(carry, blocks.lane, axis=1)[:, None, :]
     _fold(p, add, p[0])
-    for j in range(n_labels):
+    for j in range(L):
         # a label at a time: a row at a time copies far slower
         x[:, j][blocks.rows] = p[0, j]
     return x
@@ -366,21 +372,27 @@ def _build_attr_index(columns: Sequence[Column]) -> dict[str, int]:
     """The attribute index in first-seen order over rows, and within a row
     in column order: each name is ranked by the first (row, column) where
     its code occurs, and ids are handed out in that order, so a name that
-    several codes or columns render gets the id of its first occurrence."""
+    several codes or columns render gets the id of its first occurrence.
+
+    A column's first rows come from one np.minimum.at of the row numbers
+    over its codes, which keeps the least row whatever the order of the
+    writes; code -1 lands in an extra last slot, which is dropped. One
+    lexsort ranks the (row, column) pairs, and dict.fromkeys keeps each
+    name's first place."""
     names: list[str] = []
     firsts, where = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for c, (col_names, codes) in enumerate(columns):
-        present, first = np.unique(codes, return_index=True)
-        if len(present) and present[0] < 0:
-            present, first = present[1:], first[1:]
+        first = np.full(len(col_names) + 1, len(codes), dtype=np.intp)
+        np.minimum.at(first, codes, np.arange(len(codes)))
+        present = np.flatnonzero(first[:-1] < len(codes))
         names += [col_names[code] for code in present.tolist()]
-        firsts.append(first)
-        where.append(np.full(len(first), c))
+        firsts.append(first[present])
+        where.append(np.full(len(present), c))
     by_first = np.lexsort((np.concatenate(where), np.concatenate(firsts)))
-    index: dict[str, int] = {}
-    for name in np.array(names, dtype=object)[by_first]:
-        index.setdefault(name, len(index))
-    return index
+    ranked = dict.fromkeys(np.array(names, dtype=object)[by_first].tolist())
+    # count() makes its ints as len() does; range's ints are 4 bytes larger
+    # to tracemalloc, which the train memory test reads
+    return dict(zip(ranked, count()))
 
 
 class _Firing:
@@ -634,33 +646,37 @@ class _Encoded:
         n_attrs, L = self.shape
         return w[: n_attrs * L].reshape(n_attrs, L), w[n_attrs * L :].reshape(L, L)
 
-    def _forward_pass(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(emissions, alpha, per-sequence log Z) at the weights w."""
+    def _forward_pass(
+        self, w: np.ndarray, sigma_sq: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(emissions, alpha, per-sequence log Z, objective) at the weights w."""
         state, trans = self.split(w)
         emis = self.X.scores(state)
         alpha = _scan(emis, trans, self.blocks[0])
-        return emis, alpha, np.logaddexp.reduce(alpha[self.last], axis=1)
-
-    def _value(self, w: np.ndarray, log_z: np.ndarray, sigma_sq: float) -> float:
-        return _dot(self.observed, w) - float(np.sum(log_z)) - _dot(w, w) / (2.0 * sigma_sq)
+        log_z = np.logaddexp.reduce(alpha[self.last], axis=1)
+        value = _dot(self.observed, w) - float(np.sum(log_z)) - _dot(w, w) / (2.0 * sigma_sq)
+        return emis, alpha, log_z, value
 
     def objective(
         self, w: np.ndarray, sigma_sq: float
-    ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
         """The objective at a line-search probe, with the probe's forward
         pass, which objective_and_gradient reuses if the probe is accepted."""
-        forward = self._forward_pass(w)
-        return self._value(w, forward[2], sigma_sq), forward
+        forward = self._forward_pass(w, sigma_sq)
+        return forward[3], forward
 
     def objective_and_gradient(
         self,
         w: np.ndarray,
         sigma_sq: float,
-        forward: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+        forward: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = None,
     ) -> tuple[float, np.ndarray]:
+        """The objective and its gradient at w. `forward`, the forward pass
+        objective() gave at the same w and sigma_sq, saves recomputing the
+        emissions, alpha and the objective itself."""
         if forward is None:
-            forward = self._forward_pass(w)
-        emis, alpha, log_z = forward
+            forward = self._forward_pass(w, sigma_sq)
+        emis, alpha, log_z, objective = forward
         trans = self.split(w)[1]
         suffix = _scan(emis, trans.T, self.blocks[1])
         unary, pair = _posteriors(emis, alpha, suffix, trans, log_z[self.row_rank][:, None], self.prev)
@@ -672,7 +688,6 @@ class _Encoded:
         grad = np.append(self.X.counts(unary), trans_counts)
         np.subtract(self.observed, grad, out=grad)
         grad -= w / sigma_sq
-        objective = self._value(w, log_z, sigma_sq)
         if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
             raise TrainingError("objective or gradient is not finite")
         return objective, grad

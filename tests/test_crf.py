@@ -667,6 +667,28 @@ class TestEncoder:
         assert np.array_equal(a.state_weights, b.state_weights)
         assert np.array_equal(a.trans_weights, b.trans_weights)
 
+    # hand-made columns of the kinds the Hypothesis test above may miss
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            pytest.param([(["a"], [0, 0, -1]), (["x", "y"], [-1, -1, -1]), (["b"], [-1, 0, 0])],
+                         id="column-all-missing"),
+            pytest.param([(["a", "b"], [1]), (["c"], [0]), (["d"], [-1])], id="one-row"),
+            pytest.param([(["x", "s"], [0, 1]), (["s"], [0, -1])], id="name-in-two-columns"),
+            pytest.param([(["a", "b", "c"], [2, 1, 0, 2, 1])], id="later-code-first"),
+            pytest.param([(["a", "b"], [-1, 1, 0, 1]), (["b", "c"], [1, -1, 0, 0])],
+                         id="repeated-codes"),
+        ],
+    )
+    def test_index_equal_to_first_seen_strings(self, columns):
+        columns = [(names, np.array(codes, dtype=np.int32)) for names, codes in columns]
+        rows = [
+            [names[codes[r]] for names, codes in columns if codes[r] >= 0]
+            for r in range(len(columns[0][1]))
+        ]
+        index, _, _ = first_seen_encoding([rows])
+        assert list(crf._build_attr_index(columns).items()) == list(index.items())
+
     def test_train_memory_scales_with_total_positions(self):
         # the decode memory test's corpus and 86 template columns at k=10,
         # with 377,768 distinct attributes: their strings, the index, the
@@ -862,6 +884,8 @@ class TestObjectiveAndGradient:
         obj, grad = enc.objective_and_gradient(*point)
         obj_r, grad_r = enc.objective_and_gradient(*point, forward)
         assert value == obj == obj_r
+        # the probe's own value, not a recomputation of it
+        assert obj_r is value
         assert np.array_equal(grad_r, grad)
 
     def test_memory_scales_with_total_positions(self):
@@ -1346,10 +1370,21 @@ class TestModelValidation:
 
     # the model file gives an attribute its id by its line, so a model whose
     # ids are not 0..n-1 would save and read back as another model
-    @pytest.mark.parametrize("index", [{"a": 0, "b": 2}, {"a": 1, "b": 1}], ids=["gap", "repeated"])
+    # ids out of place fail the in-order pass and then the sorted one
+    @pytest.mark.parametrize(
+        "index",
+        [{"a": 0, "b": 2}, {"a": 1, "b": 1}, {"b": 2, "a": 0}, {"a": -1, "b": 0}, {"b": 0, "a": -1}],
+        ids=["gap", "repeated", "gap-out-of-order", "negative", "negative-out-of-order"],
+    )
     def test_attribute_ids_must_count_from_zero(self, index):
         with pytest.raises(ValueError, match="attribute ids must be 0..1, each once"):
             CrfModel(LABELS, index, np.zeros((2, 2)), np.zeros((2, 2)), FeatureConfig())
+
+    # ids 0..n-1 out of insertion order fail the in-order pass, pass sorted
+    @pytest.mark.parametrize("index", [{"b": 1, "a": 0}, {"c": 2, "a": 0, "b": 1}])
+    def test_attribute_ids_out_of_order_accepted(self, index):
+        model = CrfModel(LABELS, index, np.zeros((len(index), 2)), np.zeros((2, 2)), FeatureConfig())
+        assert model.attr_index == index
 
     def test_permuted_attribute_ids_round_trip(self):
         model = CrfModel(LABELS, {"b": 1, "a": 0}, np.array([[0.5, -0.5], [0.25, 0.0]]),
