@@ -3,7 +3,14 @@
 Data goes to stdout or to files; progress and warnings go to stderr.
 prepare, train, sweep, ablate and pmi-build drop a JSON manifest next to
 their output recording the command, flags, input digests, and split seed,
-so results stay traceable; punctuate -o writes none.
+so results stay traceable; punctuate -o writes none. Only the helpers that
+write manifests and results import hashlib, json, csv and datetime, so
+punctuate and evaluate load none of them for themselves.
+
+Run as a program (`python -m gujiseg.cli` or the `gujiseg` script), a command
+ends without the interpreter's teardown once its files are closed and stdout
+and stderr are flushed; see run. main returns the exit code and leaves the
+process running, for callers in the same process.
 
 Exit codes: 0 success, 1 experiment-level failure, 2 usage/I-O error.
 """
@@ -11,16 +18,12 @@ Exit codes: 0 success, 1 experiment-level failure, 2 usage/I-O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import importlib
-import json
 import logging
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 # gujiseg makes no BLAS call, but numpy's OpenBLAS starts a worker thread on
 # import that spins on a second core until it times out: about 0.13 s of CPU
@@ -101,7 +104,16 @@ def __getattr__(name: str):
     return globals()[name]
 
 
+# The manifest and results helpers import hashlib, json, csv and datetime
+# themselves: hashlib alone maps OpenSSL's libcrypto, and punctuate and
+# evaluate write neither. (numpy's core loads datetime anyway.)
+def _now() -> str:
+    from datetime import datetime, timezone
+    return datetime.now(timezone.utc).isoformat()
+
+
 def _sha256(path: str) -> str:
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -111,6 +123,7 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(out_path: str, args: argparse.Namespace, inputs: Sequence[str],
                     started: str) -> str:
+    import json
     manifest_path = Path(str(out_path) + ".manifest.json")
     snapshot = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
@@ -120,7 +133,7 @@ def _write_manifest(out_path: str, args: argparse.Namespace, inputs: Sequence[st
         "config": snapshot,
         "inputs": {p: _sha256(p) for p in inputs},
         "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
+        "finished": _now(),
     }
     manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -134,6 +147,7 @@ def _f(value: float) -> str:
 
 
 def _write_results_csv(out_path: str, rows: Iterable[Sequence[str]], manifest_name: str) -> None:
+    import csv
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema: {RESULTS_SCHEMA}\n")
         fh.write(f"# manifest: {manifest_name}\n")
@@ -202,7 +216,7 @@ def _experiment_rows(docs, conditions, split_spec, train_cfg, lexicons) -> list[
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+    started = _now()
     boundary = frozenset(args.boundary)
     discard = (frozenset(args.discard) if args.discard is not None else DEFAULT_DISCARD)
     discard = discard - boundary
@@ -237,7 +251,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+    started = _now()
     train_cfg = _train_config(args)  # a bad flag fails before any work
     docs = read_labeled_corpus(read_text_utf8(args.corpus))
     if not docs:
@@ -315,7 +329,7 @@ def _run_grid(args: argparse.Namespace, feature_sets: Sequence[str],
               widths: Sequence[int]) -> int:
     """Repeated-holdout experiments over every (feature set, k) pair; writes
     the results CSV and its manifest."""
-    started = datetime.now(timezone.utc).isoformat()
+    started = _now()
     docs = read_labeled_corpus(read_text_utf8(args.corpus))
     lexicons, lexicon_paths = _load_lexicons(args)
     conditions = []
@@ -343,7 +357,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_pmi_build(args: argparse.Namespace) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+    started = _now()
     docs = read_labeled_corpus(read_text_utf8(args.corpus))
     table = build_pmi_table(docs, args.min_count)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -468,5 +482,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Process entry point: run main, flush and end the process.
+
+    The interpreter's teardown frees every module, the model and its arrays,
+    which the OS reclaims anyway, so once logging is shut down and stdout
+    and stderr are flushed the process ends with os._exit.
+    Files the commands write are closed before main returns. An exception or
+    SystemExit leaving main, and a flush that fails, keep the interpreter's
+    own exit, so errors and failed writes are reported as before.
+    """
+    code = main()
+    logging.shutdown()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,12 @@ def manifest_inputs(out_path):
     for digest in inputs.values():
         assert re.fullmatch("[0-9a-f]{64}", digest)
     return inputs
+
+
+def assert_utc_run_times(manifest):
+    started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started", "finished"))
+    assert started.utcoffset() == finished.utcoffset() == timedelta(0)
+    assert started <= finished
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +124,7 @@ class TestPrepare:
         assert str(raw) in manifest["inputs"]
         assert len(manifest["inputs"][str(raw)]) == 64
         assert manifest["config"]["min_length"] == 0
+        assert_utc_run_times(manifest)
 
     def test_custom_boundary(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
@@ -220,6 +228,7 @@ class TestTrainPunctuateEvaluate:
         assert manifest["config"]["features"] == "c"
         assert manifest["version"]
         assert manifest["seed"] is None
+        assert_utc_run_times(manifest)
 
     def test_train_empty_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "empty.tsv"
@@ -419,12 +428,15 @@ class TestParser:
             main([])
 
 
+WATCHED_MODULES = ("csv", "datetime", "hashlib", "json", "numpy")
+
+
 def run_cli_fresh(argvs, setup=""):
     """Run each argv through gujiseg.cli.main in one new interpreter, after
-    `setup`; return the exit codes, the stderr text and whether numpy was
-    loaded. stdout is dropped."""
+    `setup`; return the exit codes, the stderr text and which of
+    WATCHED_MODULES were loaded. stdout is dropped."""
     return run_fresh(
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from gujiseg import cli\n"
         f"{setup}\n"
         "codes, err = [], io.StringIO()\n"
@@ -434,21 +446,37 @@ def run_cli_fresh(argvs, setup=""):
         "            codes.append(cli.main(argv))\n"
         "        except SystemExit as exc:\n"
         "            codes.append(exc.code)\n"
-        "print(json.dumps([codes, err.getvalue(), 'numpy' in sys.modules]))"
+        f"loaded = [m for m in {WATCHED_MODULES!r} if m in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps([codes, err.getvalue(), loaded]))"
     )
+
+
+def child_env(**env):
+    """This process's environment for a new interpreter on this checkout's
+    src, plus `env`. It leaves out OPENBLAS_NUM_THREADS, which this process
+    gains once any test imports gujiseg.cli, and PYTHONUNBUFFERED, so the
+    child's stdout is block-buffered as it is for users."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**base, "PYTHONPATH": str(src), **env}
 
 
 def run_fresh(code, **env):
-    """Run `code` in a new interpreter on this checkout's src and return its
-    stdout as JSON. The environment leaves out OPENBLAS_NUM_THREADS, which
-    this process gains once any test imports gujiseg.cli."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    src = Path(__file__).resolve().parents[1] / "src"
+    """Run `code` in a new interpreter and return its stdout as JSON."""
     done = subprocess.run(
-        [sys.executable, "-c", code], env={**base, "PYTHONPATH": str(src), **env},
+        [sys.executable, "-c", code], env=child_env(**env),
         check=True, capture_output=True, text=True,
     )
     return json.loads(done.stdout)
+
+
+def run_module(argv, stdout=subprocess.PIPE, **env):
+    """Run `python -m gujiseg.cli argv` as users do; return the finished
+    process, its stdout and stderr as bytes."""
+    return subprocess.run([sys.executable, "-m", "gujiseg.cli", *map(str, argv)],
+                          env=child_env(**env), stdout=stdout, stderr=subprocess.PIPE)
 
 
 class TestImportCost:
@@ -498,28 +526,45 @@ class TestImportCost:
         raw = tmp_path / "raw.txt"
         raw.write_text("天地玄黃，宇宙洪荒。日月盈昃，辰宿列張。\n" * 3, encoding="utf-8")
         corpus, table = str(tmp_path / "c.tsv"), str(tmp_path / "pmi.tsv")
-        codes, _, numpy_loaded = run_cli_fresh([
-            ["--version"],
-            ["--help"],
+        codes, _, loaded = run_cli_fresh([["--version"], ["--help"]])
+        assert codes == [0, 0]
+        assert loaded == []
+        codes, _, loaded = run_cli_fresh([
             ["prepare", str(raw), "-o", corpus, "--min-length", "5"],
             ["pmi-build", corpus, "-o", table, "--min-count", "1"],
         ])
-        assert codes == [0, 0, 0, 0]
-        assert not numpy_loaded
+        assert codes == [0, 0]
+        assert "numpy" not in loaded
         assert load_pmi_table(Path(table).read_text(encoding="utf-8")).pmi
 
     def test_prepare_errors_exit_2_without_numpy(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes("天地".encode() + b"\xff\n")
         out = str(tmp_path / "o.tsv")
-        codes, err, numpy_loaded = run_cli_fresh([
+        codes, err, loaded = run_cli_fresh([
             ["prepare", str(tmp_path / "absent.txt"), "-o", out],
             ["prepare", str(bad), "-o", out],
         ])
         assert codes == [2, 2]
         assert "error: [Errno 2] No such file or directory" in err
         assert "invalid UTF-8 at byte offset 6" in err
-        assert not numpy_loaded
+        assert "numpy" not in loaded
+
+    def test_punctuate_and_evaluate_load_no_manifest_modules(self, rule_docs,
+                                                             trained_model, tmp_path):
+        raw = tmp_path / "plain.txt"
+        raw.write_text(rule_docs[210].chars + "\n", encoding="utf-8")
+        corpus = write_labeled(tmp_path / "test.tsv", rule_docs[200:])
+        out = str(tmp_path / "p.txt")
+        codes, _, loaded = run_cli_fresh([
+            ["punctuate", trained_model, str(raw)],
+            ["punctuate", trained_model, str(raw), "-o", out],
+            ["evaluate", trained_model, corpus],
+        ])
+        assert codes == [0, 0, 0]
+        # numpy's core imports datetime itself; hashlib, json and csv are
+        # only for manifests and results
+        assert loaded == ["datetime", "numpy"]
 
     def test_split_error_exits_1(self, rule_docs, tmp_path):
         corpus = write_labeled(tmp_path / "one.tsv", rule_docs[:1])
@@ -542,3 +587,101 @@ class TestImportCost:
         )
         assert codes == [1]
         assert "error: objective diverged at step size 1" in err
+
+
+class TestProcessExit:
+    """`python -m gujiseg.cli` ends with os._exit once main has returned and
+    stdout and stderr are flushed; nothing written may be lost on the way."""
+
+    @pytest.mark.parametrize("size", ["one-line", "over-64-KiB"])
+    def test_piped_output_complete(self, rule_docs, trained_model, tmp_path, size):
+        lines = [d.chars for d in rule_docs[200:]]
+        if size == "one-line":
+            # stays in stdout's buffer until main has returned
+            lines = lines[:1]
+        else:
+            # more than a pipe holds, so the child blocks until it is read
+            lines *= 1 + (1 << 16) // sum(3 * len(line) + 1 for line in lines)
+        raw = tmp_path / "plain.txt"
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "p.txt"
+        assert run_module(["punctuate", trained_model, raw, "-o", out]).returncode == 0
+        piped = run_module(["punctuate", trained_model, raw])
+        assert piped.returncode == 0
+        assert piped.stdout.count(b"\n") == len(lines)
+        assert piped.stdout == out.read_bytes()
+
+    def test_warning_reaches_stderr(self, rule_docs, trained_model, tmp_path):
+        chars = rule_docs[203].chars
+        raw = tmp_path / "marked.txt"
+        raw.write_text(f"{chars[:5]}，{chars[5:10]}。{chars[10:]}\n", encoding="utf-8")
+        done = run_module(["punctuate", trained_model, raw])
+        assert done.returncode == 0
+        assert (b"WARNING input already contains 2 boundary marks; stripped before decoding"
+                in done.stderr)
+        assert "。".encode() not in done.stdout
+
+    def test_train_outputs_complete(self, rule_docs, trained_model, tmp_path):
+        corpus = write_labeled(tmp_path / "train.tsv", rule_docs[:200])
+        model = tmp_path / "model.txt"
+        done = run_module(["train", corpus, "-o", model, "--features", "c", "--k", "1",
+                           "--max-iterations", "60"])
+        assert done.returncode == 0
+        # trained in-process by main with the same flags
+        assert model.read_bytes() == Path(trained_model).read_bytes()
+        manifest = json.loads(Path(f"{model}.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["command"] == "train"
+        assert set(manifest_inputs(model)) == {corpus}
+        assert_utc_run_times(manifest)
+
+    @pytest.mark.parametrize("case", ["missing-input", "usage", "one-document-sweep"])
+    def test_exit_code_passes_through(self, rule_docs, tmp_path, case):
+        corpus = write_labeled(tmp_path / "one.tsv", rule_docs[:1])
+        out = tmp_path / "out"
+        argv, code, message = {
+            "missing-input": (["prepare", tmp_path / "absent.txt", "-o", out], 2,
+                              "error: [Errno 2] No such file or directory"),
+            "usage": (["train", corpus, "-o", out, "--seed", "1"], 2,
+                      "error: unrecognized arguments: --seed 1"),
+            "one-document-sweep": (["sweep", corpus, "-o", out, "--k-min", "1", "--k-max", "1"],
+                                   1, "error: need at least 2 documents to split, got 1"),
+        }[case]
+        done = run_module(argv)
+        assert done.returncode == code
+        assert message in done.stderr.decode("utf-8")
+
+    def test_closed_stdout(self, rule_docs, tmp_path):
+        # started with descriptor 1 closed, sys.stdout is None and print
+        # drops prepare's report
+        raw = tmp_path / "raw.txt"
+        raw.write_text("".join(d.chars + "。\n" for d in rule_docs[200:203]), encoding="utf-8")
+        corpus = tmp_path / "c.tsv"
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "gujiseg.cli",
+             "prepare", str(raw), "-o", str(corpus), "--min-length", "5"],
+            env=child_env(), stderr=subprocess.PIPE)
+        assert done.returncode == 0
+        assert done.stderr == b""
+        assert corpus.read_text(encoding="utf-8").count("\n\n") == 2
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["prepare", "punctuate"])
+    @pytest.mark.parametrize("unbuffered, code, message", [
+        # each write reaches the device inside main, which reports it
+        ("1", 2, b"error: [Errno 28] No space left on device"),
+        # the output waits in the buffer until main has returned; the flush
+        # fails and the interpreter's own exit reports it
+        (None, 120, b"OSError: [Errno 28] No space left on device"),
+    ], ids=["unbuffered", "buffered"])
+    def test_failed_write_fails(self, rule_docs, trained_model, tmp_path, command,
+                                unbuffered, code, message):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("".join(d.chars + "。\n" for d in rule_docs[200:203]), encoding="utf-8")
+        argv = {"prepare": ["prepare", raw, "-o", tmp_path / "c.tsv", "--min-length", "5"],
+                "punctuate": ["punctuate", trained_model, raw]}[command]
+        env = {"PYTHONUNBUFFERED": unbuffered} if unbuffered else {}
+        with open("/dev/full", "wb") as full:
+            done = run_module(argv, stdout=full, **env)
+        assert done.returncode == code
+        assert message in done.stderr
+        assert b"Traceback" not in done.stderr
